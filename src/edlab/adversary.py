@@ -11,11 +11,13 @@ reads values off the lexicographic order of the terminal paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 from .core import Answer, CountingOracle, Instance, Outcome
-from .profiles import ClusterProfile
+from .profiles import ClusterProfile, derive_reduced
 from .setint import SIInstance, bipartite_profile_of, si_family
 from .sortsel import drive_bounded
 
@@ -95,7 +97,6 @@ def few_deep_index(state: AdversaryState, n: int) -> int:
     lln = math.log2(math.log2(n))
     lo, hi = int(math.floor(lln / 2)), int(math.floor(lln))
     depths = sorted(len(p) for p in state.positions)
-    from bisect import bisect_left
     for i in range(lo, hi + 1):
         deep = len(depths) - bisect_left(depths, 2 ** i)
         if deep < n / 2 ** i:
@@ -105,58 +106,99 @@ def few_deep_index(state: AdversaryState, n: int) -> int:
 
 # --- chain packing over a position trie -----------------------------------
 
-def _build_trie(positions, indices):
-    root = {"elems": []}
-    for idx in indices:
+class _Node:
+    """Trie node: the elements whose path ends here, in index order, of
+    which those before `lo` are packed, and `score`, the most unpacked
+    elements on any downward chain from here (this node included)."""
+
+    __slots__ = ("elems", "lo", "kids", "score")
+
+    def __init__(self):
+        self.elems = []
+        self.lo = 0
+        self.kids = [None, None]  # the "0" and "1" children
+        self.score = 0
+
+    def rescore(self) -> None:
+        c0, c1 = self.kids
+        self.score = len(self.elems) - self.lo + max(c0.score if c0 else 0,
+                                                     c1.score if c1 else 0)
+
+
+def _build_trie(positions):
+    """Trie of all element paths, every node scored once.  Elements are
+    inserted by increasing index, so each node's list is index-ordered."""
+    root = _Node()
+    made = [root]  # parents before children
+    for idx, path in enumerate(positions):
         node = root
-        for b in positions[idx]:
-            node = node.setdefault(b, {"elems": []})
-        node["elems"].append(idx)
+        for b in path:
+            kids = node.kids
+            k = b == "1"
+            child = kids[k]
+            if child is None:
+                child = kids[k] = _Node()
+                made.append(child)
+            node = child
+        node.elems.append(idx)
+    for node in reversed(made):
+        node.rescore()
     return root
 
 
 def _extract_chain(root, take: int):
     """Remove and return `take` elements from the max-count root-to-leaf
-    chain (shallowest first, ties by index; '0'-child preferred on equal
-    subtree counts).  None when no chain holds that many."""
-    order = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        for b in ("0", "1"):
-            if b in node:
-                stack.append(node[b])
-    score = {}
-    for node in reversed(order):
-        best_child = 0
-        for b in ("0", "1"):
-            if b in node:
-                best_child = max(best_child, score[id(node[b])])
-        score[id(node)] = len(node["elems"]) + best_child
-    if score[id(root)] < take:
+    chain: shallowest first, ties by index, the '0' child preferred when
+    both children score the same.  None when no chain holds that many.
+
+    The walk stops at the node that completes the pick.  Packed elements
+    are an index-ordered prefix of each node's list, so taking them only
+    advances the node's cursor, and only the walked nodes change score:
+    one extraction costs O(depth of that node + take).
+    """
+    if root.score < take:
         return None
-    chain = [root]
-    node = root
-    while "0" in node or "1" in node:
-        c0, c1 = node.get("0"), node.get("1")
-        if c1 is None or (c0 is not None and score[id(c0)] >= score[id(c1)]):
-            node = c0
-        else:
-            node = c1
-        chain.append(node)
     picked = []
-    for nd in chain:
-        for idx in sorted(nd["elems"]):
-            picked.append(idx)
-            if len(picked) == take:
-                break
+    path = []
+    node = root
+    while True:
+        path.append(node)
+        t = min(take - len(picked), len(node.elems) - node.lo)
+        picked += node.elems[node.lo:node.lo + t]
+        node.lo += t
         if len(picked) == take:
             break
-    pickset = set(picked)
-    for nd in chain:
-        nd["elems"] = [e for e in nd["elems"] if e not in pickset]
+        c0, c1 = node.kids
+        node = c0 if c1 is None or (c0 is not None
+                                    and c0.score >= c1.score) else c1
+    for node in reversed(path):
+        node.rescore()
     return picked
+
+
+def _shallowest_first(root) -> list:
+    """Unpacked elements ordered by (depth, path, index): the trie in
+    level order, '0' child before '1', skipping emptied subtrees."""
+    out = []
+    level = [root]
+    while level:
+        for node in level:
+            out += node.elems[node.lo:]
+        level = [c for node in level for c in node.kids if c and c.score]
+    return out
+
+
+def _pack(positions, sizes):
+    """Extract one chain per size, in order, until no chain holds the
+    next size.  Returns (chains, unpacked elements shallowest first)."""
+    root = _build_trie(positions)
+    chains = []
+    for size in sizes:
+        picked = _extract_chain(root, size)
+        if picked is None:
+            break
+        chains.append(picked)
+    return chains, _shallowest_first(root)
 
 
 def pack_isomorphic(state: AdversaryState, profile: ClusterProfile):
@@ -171,46 +213,30 @@ def pack_isomorphic(state: AdversaryState, profile: ClusterProfile):
     n = len(state.positions)
     if profile.n != n:
         raise ValueError("profile does not cover all elements")
-    order = sorted(range(profile.m), key=lambda c: -profile.sizes[c])
+    sizes = profile.sizes
+    order = sorted(range(profile.m), key=lambda c: -sizes[c])
+    big = [cid for cid in order if sizes[cid] > 1]
+    chains, rest = _pack(state.positions, (sizes[cid] for cid in big))
+    if len(chains) < len(big):
+        raise RuntimeError("no chain can hold this cluster; "
+                           "packing budget was violated")
     clusters: list = [None] * profile.m
-    used = set()
-    root = _build_trie(state.positions, range(n))
-    for pos_i, cid in enumerate(order):
-        size = profile.sizes[cid]
-        if size == 1:
-            rest = sorted((i for i in range(n) if i not in used),
-                          key=lambda i: (len(state.positions[i]),
-                                         state.positions[i], i))
-            for sid, elem in zip(order[pos_i:], rest):
-                clusters[sid] = [elem]
-            break
-        picked = _extract_chain(root, size)
-        if picked is None:
-            raise RuntimeError("no chain can hold this cluster; "
-                               "packing budget was violated")
-        clusters[cid] = picked
-        used.update(picked)
+    for cid, chain in zip(big, chains):
+        clusters[cid] = chain
+    for cid, elem in zip(order[len(big):], rest):
+        clusters[cid] = [elem]
     return clusters
 
 
 def pack_separation(state: AdversaryState, L: int):
     """Greedy chains of exactly L while any chain holds L elements,
-    then singletons.  Returns (big_clusters, singleton_clusters); the
-    concatenation is exactly what pack_isomorphic produces for the
-    profile [L]*q + [1]*(n - q*L)."""
-    n = len(state.positions)
-    root = _build_trie(state.positions, range(n))
-    bigs = []
-    while True:
-        picked = _extract_chain(root, L)
-        if picked is None:
-            break
-        bigs.append(picked)
-    used = {i for c in bigs for i in c}
-    singles = [[i] for i in sorted((i for i in range(n) if i not in used),
-                                   key=lambda i: (len(state.positions[i]),
-                                                  state.positions[i], i))]
-    return bigs, singles
+    then singletons.  Returns (big_clusters, singleton_clusters); for
+    L >= 2 the concatenation is exactly what pack_isomorphic produces
+    for the profile [L]*q + [1]*(n - q*L)."""
+    if L < 1:
+        raise ValueError("chain length L must be >= 1")
+    bigs, rest = _pack(state.positions, repeat(L))
+    return bigs, [[i] for i in rest]
 
 
 def reconstruct(state: AdversaryState, profile: ClusterProfile):
@@ -226,15 +252,10 @@ def reconstruct(state: AdversaryState, profile: ClusterProfile):
     n = len(state.positions)
     if profile.n != n:
         raise ValueError("profile does not cover all elements")
-    if profile.m < 2:
-        raise ValueError("reduction needs at least two clusters")
+    reduced, _, _ = derive_reduced(profile)
     sizes = profile.sizes
     order_desc = sorted(range(profile.m), key=lambda c: -sizes[c])
-    n_cur, k = n, 0
-    while 4 * n_cur > 3 * n:
-        n_cur -= sizes[order_desc[k]]
-        k += 1
-    gprime_ids = order_desc[k:]
+    gprime_ids = order_desc[profile.m - reduced.m:]
 
     nodes: dict = {}
     roots = []
@@ -243,45 +264,50 @@ def reconstruct(state: AdversaryState, profile: ClusterProfile):
             nodes.setdefault(p, []).append(idx)
         else:
             roots.append(idx)
-    node_order = sorted(nodes, key=lambda p: (len(p), p))
+    pools = [nodes[p] for p in sorted(nodes, key=lambda p: (len(p), p))]
     clusters: list = [None] * profile.m
     fallback = False
-    ni = 0
+    ni = lo = r = 0  # current node, taken from it, taken from roots
     for cid in gprime_ids:
-        while ni < len(node_order) and not nodes[node_order[ni]]:
-            ni += 1
-        if ni >= len(node_order):
+        while ni < len(pools) and lo == len(pools[ni]):
+            ni, lo = ni + 1, 0
+        if ni == len(pools):
             fallback = True
             break
-        avail = nodes[node_order[ni]]
-        t = min(sizes[cid], len(avail))
-        take = avail[:t]
-        nodes[node_order[ni]] = avail[t:]
+        t = min(sizes[cid], len(pools[ni]) - lo)
         need = sizes[cid] - t
-        if need > len(roots):
+        if need > len(roots) - r:
             raise RuntimeError("root pool exhausted while topping up")
-        take = take + roots[:need]
-        roots = roots[need:]
-        clusters[cid] = take
+        clusters[cid] = pools[ni][lo:lo + t] + roots[r:r + need]
+        lo += t
+        r += need
     leftovers = [cid for cid in range(profile.m) if clusters[cid] is None]
     leftovers.sort(key=lambda c: -sizes[c])
     for cid in leftovers:
         s = sizes[cid]
-        if s > len(roots):
+        if s > len(roots) - r:
             raise RuntimeError("root pool exhausted while forming clusters")
-        clusters[cid] = roots[:s]
-        roots = roots[s:]
+        clusters[cid] = roots[r:r + s]
+        r += s
     return clusters, fallback
 
 
 def realize(state: AdversaryState, clusters) -> Instance:
     """Move each cluster to a fresh leaf and read off values.
 
-    Terminal key = deepest member's path + zero padding + '1' + fixed-
-    width cluster counter; all keys share one length, so they are
-    pairwise distinct and non-prefix.  Values are lexicographic key
-    ranks, hence equal within a cluster and consistent with every
-    answered divergence.
+    Cluster c's terminal key is its anchor (deepest member's path) +
+    zero padding + '1' + c as a fixed-width binary counter; all keys
+    share one length, so they are pairwise distinct and non-prefix.
+    Values are the keys' lexicographic ranks, hence equal within a
+    cluster and consistent with every answered divergence.
+
+    The keys are never built.  Write a key as s + 0...0 + '1' + c with
+    s the anchor stripped of trailing zeros, so s is empty or ends in
+    '1'.  Equal s leave the counters to decide.  Where s and s' first
+    differ, so do the keys.  Where s is a proper prefix of s', the rest
+    of s' is some zeros and then a '1' at an offset where s's key still
+    pads with zeros (the keys are equally long), so s's key is smaller,
+    just as s < s'.  Hence sorting by (s, c) ranks the keys.
     """
     n = len(state.positions)
     covered = sorted(i for c in clusters for i in c)
@@ -289,20 +315,16 @@ def realize(state: AdversaryState, clusters) -> Instance:
         raise ValueError("assignment must cover every element exactly once")
     anchors = []
     for c in clusters:
-        anchor = max((state.positions[i] for i in c), key=len)
-        for i in c:
-            if not anchor.startswith(state.positions[i]):
-                raise ValueError("cluster is not a chain in the tree")
-        anchors.append(anchor)
-    W = max(1, (len(clusters) - 1).bit_length())
-    K = max(len(a) for a in anchors) + 1 + W
-    keys = [a + "0" * (K - len(a) - 1 - W) + "1" + format(cid, f"0{W}b")
-            for cid, a in enumerate(anchors)]
-    rank = {kk: r for r, kk in enumerate(sorted(keys))}
+        paths = [state.positions[i] for i in c]
+        anchor = max(paths, key=len)
+        if not all(map(anchor.startswith, paths)):
+            raise ValueError("cluster is not a chain in the tree")
+        anchors.append(anchor.rstrip("0"))
     values = [0] * n
-    for cid, c in enumerate(clusters):
-        for i in c:
-            values[i] = rank[keys[cid]]
+    for rank, cid in enumerate(sorted(range(len(clusters)),
+                                      key=anchors.__getitem__)):
+        for i in clusters[cid]:
+            values[i] = rank
     return Instance(tuple(values))
 
 

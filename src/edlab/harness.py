@@ -19,10 +19,9 @@ from typing import Optional
 
 from .core import (CountingOracle, Instance, Outcome, realize_instance,
                    replay_transcript, verify_graph, write_instance)
-from .profiles import (ClusterProfile, LowerBounds, _g_min_objective,
-                       approx_L2_scan, cd, check_linear_subset,
-                       derive_reduced, select_L1, select_L2, selection_for,
-                       write_profile)
+from .profiles import (ClusterProfile, LowerBounds, approx_L2_scan, cd,
+                       check_linear_subset, reduction_budget, select_L1,
+                       select_L2, selection_for, write_profile)
 from .algorithms import (block_sorting, block_sorting_gen, clairvoyant,
                          doubling_gen, median_recursion,
                          median_recursion_gen, oblivious, oblivious_gen,
@@ -227,8 +226,7 @@ DUEL_HEADER = ["n", "rounds", "algo", "survived", "consistency",
 
 def reconstruction_budget(profile: ClusterProfile) -> int:
     """Round cap under which whole/split reconstruction is guaranteed."""
-    reduced, n_prime, _ = derive_reduced(profile)
-    return int(min(n_prime / 8.0, _g_min_objective(reduced) / 32.0))
+    return int(reduction_budget(profile))
 
 
 def duel_opponent(algo: str, profile: ClusterProfile):

@@ -250,12 +250,11 @@ def derive_reduced(profile: ClusterProfile) -> tuple[ClusterProfile, int, int]:
         raise ValueError("reduction needs at least two clusters")
     remaining = sorted(profile.sizes, reverse=True)
     n = profile.n
-    n_cur = n
-    last_deleted = None
+    n_cur, k = n, 0
     while 4 * n_cur > 3 * n:
-        last_deleted = remaining.pop(0)
-        n_cur -= last_deleted
-    return ClusterProfile(remaining), n_cur, last_deleted
+        n_cur -= remaining[k]
+        k += 1
+    return ClusterProfile(remaining[k:]), n_cur, remaining[k - 1]
 
 
 def lower_bound_median(profile: ClusterProfile) -> float:
@@ -331,18 +330,22 @@ def _g_min_objective(profile: ClusterProfile) -> float:
     return best
 
 
+def reduction_budget(profile: ClusterProfile) -> float:
+    """min(n'/8, (1/32)*min_{C'(L)<n'} (C'+D')*max(1,log2 D')) over the
+    reduced profile G' of derive_reduced, with n' its vertex count."""
+    reduced, n_prime, _ = derive_reduced(profile)
+    return min(n_prime / 8.0, _g_min_objective(reduced) / 32.0)
+
+
 def check_linear_subset(profile: ClusterProfile) -> bool:
     """Verify the reduction inequality tying G' budgets back to G.
 
-    min(n'/8, (1/32)*min_{C'(L)<n'} (C'+D')*max(1,log2 D'))
-        >= (1/1000)*min(n, min_{2C<n} (C+D)*max(1,log2 D))
+    reduction_budget(G) >= (1/1000)*min(n, min_{2C<n} (C+D)*max(1,log2 D))
 
     holds for every profile with at least two clusters; a False here
     means a bug, and the harness treats it as such.
     """
-    reduced, n_prime, _ = derive_reduced(profile)
-    lhs = min(n_prime / 8.0, _g_min_objective(reduced) / 32.0)
-    return lhs >= lower_bound_block(profile)
+    return reduction_budget(profile) >= lower_bound_block(profile)
 
 
 def selection_for(profile: ClusterProfile) -> ParameterSelection:

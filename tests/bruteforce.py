@@ -84,6 +84,26 @@ def brute_lower_bound_combined(sizes):
     return 0.001 * min(term1, term2)
 
 
+def brute_reduction_budget(sizes):
+    """min(n'/8, (1/32)*min (C'+D')*max(1, log2 D')), the inner minimum a
+    full scan of L in {1..n'+1} with C'(L) < n', where the primes refer
+    to the sizes left after deleting maximum clusters until at most 3/4
+    of the vertices remain."""
+    n = sum(sizes)
+    kept = sorted(sizes)
+    while 4 * sum(kept) > 3 * n:
+        kept.pop()
+    n_prime = sum(kept)
+    best = None
+    for L in range(1, n_prime + 2):
+        C, D = brute_cd(kept, L)
+        if C >= n_prime:
+            continue
+        val = _val2(C, D)
+        if best is None or val < best:
+            best = val
+    return min(n_prime / 8.0, best / 32.0)
+
 # --- reference chain packing, reconstruction and realization -----------
 # The tree adversary's post-game pipeline written out directly: every
 # extraction rescores the whole position trie and filters each chain

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from bruteforce import (brute_cd, brute_lower_bound_block,
                         brute_lower_bound_combined, brute_lower_bound_median,
-                        brute_select_L1, brute_select_L2)
+                        brute_reduction_budget, brute_select_L1,
+                        brute_select_L2)
 from edlab.profiles import (ClusterProfile, LowerBounds, approx_L2,
                             approx_L2_scan, cd, check_linear_subset,
                             derive_reduced, lower_bound_block,
                             lower_bound_combined, lower_bound_median,
-                            read_profile, select_L1, select_L2, selection_for,
-                            write_profile)
+                            read_profile, reduction_budget, select_L1,
+                            select_L2, selection_for, write_profile)
 
 profiles = st.lists(st.integers(min_value=1, max_value=12), min_size=1,
                     max_size=20).map(ClusterProfile)
@@ -140,6 +141,13 @@ def test_derive_reduced_invariants(p):
     r, n_prime, deleted = derive_reduced(p)
     assert n_prime == sum(r.sizes) <= 0.75 * p.n
     assert deleted >= max(r.sizes)  # deletions go largest-first
+
+
+@given(p=profiles)
+def test_reduction_budget_matches_full_scan(p):
+    if p.m < 2:
+        return
+    assert reduction_budget(p) == brute_reduction_budget(list(p.sizes))
 
 
 def test_check_linear_subset_examples():
