@@ -8,10 +8,16 @@ bit-for-bit, not approximate.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from edlab.adversary import AdversaryState
-from edlab.core import Instance
+from edlab.core import Answer, CountingOracle, Instance, Outcome, ceil_log2
 from edlab.profiles import ClusterProfile
+from edlab.setint import SIInstance, bipartite_profile_of, si_family
+from edlab.sortsel import drive_bounded, select_gen
+
+LT, EQ, GT = Answer.LT, Answer.EQ, Answer.GT
 
 
 def brute_cd(sizes, L):
@@ -310,3 +316,214 @@ def brute_realize(state: AdversaryState, clusters) -> Instance:
         for i in c:
             values[i] = rank[keys[cid]]
     return Instance(tuple(values))
+
+
+# --- reference bipartite game ------------------------------------------
+# The set-intersection adversary with its own copy of the tree
+# divergence rule, B-paths kept apart from the A-leaves, and the
+# realization that ranks zero-padded keys directly.  The adversary
+# module's version shares the tree adversary's rule and realize; both
+# must play and realize every game identically.
+
+class BruteSIAdversary:
+    """B-elements walk down the tree; A-elements sit at fixed leaves.
+
+    The big A-cluster occupies the leftmost leaf (smallest value); the
+    type-1 cluster j sits at one leaf below the j-th depth-l node.  Leaf
+    depth exceeds the round budget, so a B-element can never reach or
+    pass an A-leaf; same-cluster A pairs answer EQ (true equalities,
+    not witnesses), everything else answers by divergence with only
+    B-elements moving.
+    """
+
+    def __init__(self, n: int):
+        s = round(n ** (1 / 3))
+        while s ** 3 < n:
+            s += 1
+        if s ** 3 != n or s < 2 or s & (s - 1):
+            raise ValueError("n must be 2**(3t) for integer t >= 1")
+        self.n = n
+        self.s = s
+        self.l = round(math.log2(n)) // 3
+        self.rounds_budget = n * self.l // 2
+        self.depth_leaf = self.rounds_budget + self.l + 2
+        self.big = n - s * (s + 1) // 2
+        self.cluster_leaf = {}
+        self.a_cluster = []
+        for _ in range(self.big):
+            self.a_cluster.append(0)
+        self.cluster_leaf[0] = "0" * self.depth_leaf
+        for j in range(1, s + 1):
+            u = format(j - 1, f"0{self.l}b")
+            self.cluster_leaf[j] = u + "1" + "0" * (self.depth_leaf - self.l - 1)
+            self.a_cluster.extend([j] * j)
+        assert len(self.a_cluster) == n
+        self.bpos = [""] * n  # B index offset by n
+
+    def _path(self, idx: int) -> str:
+        if idx < self.n:
+            return self.cluster_leaf[self.a_cluster[idx]]
+        return self.bpos[idx - self.n]
+
+    def answer(self, x: int, y: int) -> Answer:
+        n = self.n
+        if x < n and y < n:
+            if self.a_cluster[x] == self.a_cluster[y]:
+                return EQ
+            px, py = self._path(x), self._path(y)
+        else:
+            px, py = self._path(x), self._path(y)
+            if px == py:  # both must be B: A-leaves are deeper than B can go
+                self.bpos[x - n] = px + "0"
+                self.bpos[y - n] = py + "1"
+                return LT
+            if len(px) < len(py) and py.startswith(px):
+                nxt = py[len(px)]
+                px = px + ("1" if nxt == "0" else "0")
+                self.bpos[x - n] = px
+            elif len(py) < len(px) and px.startswith(py):
+                nxt = px[len(py)]
+                py = py + ("1" if nxt == "0" else "0")
+                self.bpos[y - n] = py
+        d = 0
+        while px[d] == py[d]:
+            d += 1
+        return LT if px[d] < py[d] else GT
+
+
+@dataclass
+class BruteSIGameReport:
+    instance: SIInstance
+    j: int
+    rounds_played: int
+    transcript: list
+    opponent_finished: bool
+    opponent_result: Optional[tuple]
+
+
+def brute_si_adversary_game(opponent_factory: Callable[[int], object],
+                            n: int) -> BruteSIGameReport:
+    """Run the bipartite game and realize the hard instance.
+
+    After floor(n*l/2) rounds some B-element x still sits at depth <= l
+    (each round adds at most 2 depth in total); the shallowest such x is
+    merged into the type-1 cluster below it: x was never answered
+    against that cluster, otherwise x would have diverged away from its
+    subtree.  All other B-elements become fresh singletons; the result
+    realizes si_family(n, j).
+    """
+    adv = BruteSIAdversary(n)
+    oracle = CountingOracle(adversary=adv.answer, n=2 * n)
+    result, finished = drive_bounded(opponent_factory(n), oracle,
+                                     adv.rounds_budget)
+    cands = [(len(p), i) for i, p in enumerate(adv.bpos) if len(p) <= adv.l]
+    if not cands:
+        raise RuntimeError("every B-element is deep; depth budget violated")
+    _, xb = min(cands)
+    px = adv.bpos[xb]
+    j = int((px + "0" * adv.l)[:adv.l], 2) + 1
+
+    W = max(1, (n - 1).bit_length())
+    K = adv.depth_leaf + 1 + W
+    b_keys = [None] * n
+    b_keys[xb] = adv.cluster_leaf[j]
+    ctr = 0
+    for i, p in enumerate(adv.bpos):
+        if i == xb:
+            continue
+        b_keys[i] = p + "1" + "0" * (K - len(p) - 2 - W) + format(ctr, f"0{W}b")
+        ctr += 1
+    a_keys = [adv.cluster_leaf[c] for c in adv.a_cluster]
+    rank = {kk: r for r, kk in enumerate(sorted(set(a_keys + b_keys)))}
+    inst = SIInstance(tuple(rank[kk] for kk in a_keys),
+                      tuple(rank[kk] for kk in b_keys))
+    if not bipartite_profile_of(inst) == si_family(n, j):
+        raise RuntimeError("realized instance is not in the target family")
+    return BruteSIGameReport(inst, j, oracle.count, oracle.transcript,
+                             finished, result if finished else None)
+
+
+# --- reference median recursions ----------------------------------------
+# The two recursions median recursion used to keep: the plain one with
+# its small-call stats, and the budgeted one with memoized top levels
+# that the oblivious runner's median branches drive.  The algorithms
+# module now runs both through one recursion; the request sequences,
+# results and stats must not change.
+
+def _median_rec(items, L, st):
+    # Calls below L elements are abandoned, not sorted; their mass is
+    # what the cost analysis charges.
+    if len(items) < L:
+        if items:
+            st["small_calls"] += 1
+            st["small_mass"] += len(items)
+        return None
+    med = yield from select_gen(items, (len(items) + 1) // 2)
+    less, greater = [], []
+    for it in items:
+        if it == med:
+            continue
+        a = yield (it, med)
+        if a is EQ:
+            return it, med
+        (less if a is LT else greater).append(it)
+    hit = yield from _median_rec(less, L, st)
+    if hit is not None:
+        return hit
+    return (yield from _median_rec(greater, L, st))
+
+
+def brute_median_recursion_gen(items, L: int, stats: Optional[dict] = None):
+    if L < 1:
+        raise ValueError("L must be >= 1")
+    st = stats if stats is not None else {}
+    st.setdefault("small_calls", 0)
+    st.setdefault("small_mass", 0)
+    hit = yield from _median_rec(list(items), L, st)
+    if hit is not None:
+        return Outcome.DUPLICATE, hit
+    return Outcome.GAVE_UP, None
+
+
+def _median_rec_memo(items, L, C, st, memo, path, limit):
+    if len(items) < L:
+        if items:
+            st["mass"] += len(items)
+            if st["mass"] >= C:
+                return "abort"
+        return None
+    if len(path) < limit and path in memo:
+        med, less, greater = memo[path]  # replay: no oracle charge
+    else:
+        med = yield from select_gen(items, (len(items) + 1) // 2)
+        less, greater = [], []
+        for it in items:
+            if it == med:
+                continue
+            a = yield (it, med)
+            if a is EQ:
+                return it, med
+            (less if a is LT else greater).append(it)
+        if len(path) < limit:
+            memo[path] = (med, less, greater)
+    hit = yield from _median_rec_memo(less, L, C, st, memo, path + "0", limit)
+    if hit is not None:
+        return hit
+    return (yield from _median_rec_memo(greater, L, C, st, memo, path + "1", limit))
+
+
+def brute_budgeted_median_branch_gen(n: int, i: int):
+    items = list(range(n))
+    cap = 2 ** ceil_log2(max(2, n))
+    memo = {}
+    C = 1
+    while C <= cap:
+        L = max(2, C >> i)
+        limit = max(0, (n // C).bit_length() - 1) if C <= n else 0
+        memo = {p: v for p, v in memo.items() if len(p) < limit}
+        st = {"mass": 0}
+        res = yield from _median_rec_memo(items, L, C, st, memo, "", limit)
+        if res is not None and res != "abort":
+            return Outcome.DUPLICATE, res
+        C *= 2
+    return Outcome.GAVE_UP, None
