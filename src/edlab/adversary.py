@@ -35,40 +35,42 @@ class AdversaryState:
         return sum(len(p) for p in self.positions)
 
 
-class TreeAdversary:
-    """Element-distinctness adversary: answers LT/GT only, never EQ.
+def _diverge(pos, x, y) -> Answer:
+    """The tree rule on the paths in `pos`, moving at most two elements
+    one step each: equal paths split (x left, y right, answer LT); when
+    one path is a proper prefix of the other, the shallower element
+    steps to the sibling of the deeper one's next move, i.e. appends
+    the complement of the deeper path's next bit; already-diverged
+    pairs are answered in place, by the bit where they differ."""
+    px, py = pos[x], pos[y]
+    if px == py:
+        pos[x] = px + "0"
+        pos[y] = py + "1"
+        return LT
+    if len(px) < len(py) and py.startswith(px):
+        nxt = py[len(px)]
+        px = px + ("1" if nxt == "0" else "0")
+        pos[x] = px
+    elif len(py) < len(px) and px.startswith(py):
+        nxt = px[len(py)]
+        py = py + ("1" if nxt == "0" else "0")
+        pos[y] = py
+    d = 0
+    while px[d] == py[d]:
+        d += 1
+    return LT if px[d] < py[d] else GT
 
-    Rules, with p(x), p(y) the current paths: equal paths split (x left,
-    y right, answer LT); when one path is a proper prefix of the other,
-    the shallower element steps to the sibling of the deeper one's next
-    move, i.e. appends the complement of the deeper path's next bit;
-    already-diverged pairs are answered in place.  At most two elements
-    move per answer, each by one step.
-    """
+
+class TreeAdversary:
+    """Element-distinctness adversary: answers LT/GT only, never EQ,
+    by the tree rule of _diverge on its positions."""
 
     def __init__(self, n: int):
         self.n = n
         self.positions = [""] * n
 
     def answer(self, x: int, y: int) -> Answer:
-        pos = self.positions
-        px, py = pos[x], pos[y]
-        if px == py:
-            pos[x] = px + "0"
-            pos[y] = py + "1"
-            return LT
-        if len(px) < len(py) and py.startswith(px):
-            nxt = py[len(px)]
-            px = px + ("1" if nxt == "0" else "0")
-            pos[x] = px
-        elif len(py) < len(px) and px.startswith(py):
-            nxt = px[len(py)]
-            py = py + ("1" if nxt == "0" else "0")
-            pos[y] = py
-        d = 0
-        while px[d] == py[d]:
-            d += 1
-        return LT if px[d] < py[d] else GT
+        return _diverge(self.positions, x, y)
 
 
 def play_game(opponent_factory: Callable[[int], object], n: int,
@@ -308,6 +310,18 @@ def realize(state: AdversaryState, clusters) -> Instance:
     of s' is some zeros and then a '1' at an offset where s's key still
     pads with zeros (the keys are equally long), so s's key is smaller,
     just as s < s'.  Hence sorting by (s, c) ranks the keys.
+
+    si_adversary_game realizes here too, and its natural keys are not
+    all equally long: an A-cluster's key is its leaf, s padded with
+    zeros to the leaf depth, and a B-singleton's is its path p + '1'
+    padded to the same depth and then followed by a counter in B-index
+    order.  Stepping each B-element to its '1' child makes its stripped
+    anchor exactly p + '1', and every s fits inside the leaf depth, so
+    the argument above still orders keys with different s.  Where s
+    ties, the A-key is a proper prefix of the B-key, hence smaller, and
+    B-keys fall back on their counters.  Numbering the A-clusters first
+    and the B-singletons after them by index therefore gives the same
+    ranks.
     """
     n = len(state.positions)
     covered = sorted(i for c in clusters for i in c)
@@ -369,12 +383,13 @@ def order_game(n: int):
 class SIAdversary:
     """B-elements walk down the tree; A-elements sit at fixed leaves.
 
-    The big A-cluster occupies the leftmost leaf (smallest value); the
-    type-1 cluster j sits at one leaf below the j-th depth-l node.  Leaf
-    depth exceeds the round budget, so a B-element can never reach or
-    pass an A-leaf; same-cluster A pairs answer EQ (true equalities,
-    not witnesses), everything else answers by divergence with only
-    B-elements moving.
+    Indices 0..n-1 are A, n..2n-1 are B, and `positions` holds the
+    A-leaves and then the B-paths.  The big A-cluster occupies the
+    leftmost leaf (smallest value); the type-1 cluster j sits at one
+    leaf below the j-th depth-l node.  Leaf depth exceeds the round
+    budget, so a B-element can never reach or pass an A-leaf, and the
+    tree rule of _diverge only ever moves B-elements.  Same-cluster A
+    pairs answer EQ (true equalities, not witnesses).
     """
 
     def __init__(self, n: int):
@@ -389,47 +404,20 @@ class SIAdversary:
         self.rounds_budget = n * self.l // 2
         self.depth_leaf = self.rounds_budget + self.l + 2
         self.big = n - s * (s + 1) // 2
-        self.cluster_leaf = {}
-        self.a_cluster = []
-        for _ in range(self.big):
-            self.a_cluster.append(0)
-        self.cluster_leaf[0] = "0" * self.depth_leaf
+        leaves = ["0" * self.depth_leaf]
+        self.a_cluster = [0] * self.big
         for j in range(1, s + 1):
             u = format(j - 1, f"0{self.l}b")
-            self.cluster_leaf[j] = u + "1" + "0" * (self.depth_leaf - self.l - 1)
+            leaves.append(u + "1" + "0" * (self.depth_leaf - self.l - 1))
             self.a_cluster.extend([j] * j)
         assert len(self.a_cluster) == n
-        self.bpos = [""] * n  # B index offset by n
-
-    def _path(self, idx: int) -> str:
-        if idx < self.n:
-            return self.cluster_leaf[self.a_cluster[idx]]
-        return self.bpos[idx - self.n]
+        self.positions = [leaves[c] for c in self.a_cluster] + [""] * n
 
     def answer(self, x: int, y: int) -> Answer:
-        n = self.n
-        if x < n and y < n:
-            if self.a_cluster[x] == self.a_cluster[y]:
-                return EQ
-            px, py = self._path(x), self._path(y)
-        else:
-            px, py = self._path(x), self._path(y)
-            if px == py:  # both must be B: A-leaves are deeper than B can go
-                self.bpos[x - n] = px + "0"
-                self.bpos[y - n] = py + "1"
-                return LT
-            if len(px) < len(py) and py.startswith(px):
-                nxt = py[len(px)]
-                px = px + ("1" if nxt == "0" else "0")
-                self.bpos[x - n] = px
-            elif len(py) < len(px) and px.startswith(py):
-                nxt = px[len(py)]
-                py = py + ("1" if nxt == "0" else "0")
-                self.bpos[y - n] = py
-        d = 0
-        while px[d] == py[d]:
-            d += 1
-        return LT if px[d] < py[d] else GT
+        n, a = self.n, self.a_cluster
+        if x < n and y < n and a[x] == a[y]:
+            return EQ
+        return _diverge(self.positions, x, y)
 
 
 @dataclass
@@ -450,34 +438,33 @@ def si_adversary_game(opponent_factory: Callable[[int], object],
     (each round adds at most 2 depth in total); the shallowest such x is
     merged into the type-1 cluster below it: x was never answered
     against that cluster, otherwise x would have diverged away from its
-    subtree.  All other B-elements become fresh singletons; the result
-    realizes si_family(n, j).
+    subtree.  Every other B-element steps to its '1' child and becomes a
+    fresh singleton; realize then reads off an instance of
+    si_family(n, j).
     """
     adv = SIAdversary(n)
     oracle = CountingOracle(adversary=adv.answer, n=2 * n)
     result, finished = drive_bounded(opponent_factory(n), oracle,
                                      adv.rounds_budget)
-    cands = [(len(p), i) for i, p in enumerate(adv.bpos) if len(p) <= adv.l]
+    pos = adv.positions
+    cands = [(len(pos[i]), i) for i in range(n, 2 * n)
+             if len(pos[i]) <= adv.l]
     if not cands:
         raise RuntimeError("every B-element is deep; depth budget violated")
     _, xb = min(cands)
-    px = adv.bpos[xb]
-    j = int((px + "0" * adv.l)[:adv.l], 2) + 1
-
-    W = max(1, (n - 1).bit_length())
-    K = adv.depth_leaf + 1 + W
-    b_keys = [None] * n
-    b_keys[xb] = adv.cluster_leaf[j]
-    ctr = 0
-    for i, p in enumerate(adv.bpos):
-        if i == xb:
-            continue
-        b_keys[i] = p + "1" + "0" * (K - len(p) - 2 - W) + format(ctr, f"0{W}b")
-        ctr += 1
-    a_keys = [adv.cluster_leaf[c] for c in adv.a_cluster]
-    rank = {kk: r for r, kk in enumerate(sorted(set(a_keys + b_keys)))}
-    inst = SIInstance(tuple(rank[kk] for kk in a_keys),
-                      tuple(rank[kk] for kk in b_keys))
+    j = int((pos[xb] + "0" * adv.l)[:adv.l], 2) + 1
+    # A-clusters first, then the B-singletons by index: see realize
+    clusters = [[] for _ in range(adv.s + 1)]
+    for i, c in enumerate(adv.a_cluster):
+        clusters[c].append(i)
+    clusters[j].append(xb)
+    for i in range(n, 2 * n):
+        if i != xb:
+            pos[i] += "1"
+            clusters.append([i])
+    values = realize(AdversaryState(pos, oracle.count, oracle.transcript),
+                     clusters).values
+    inst = SIInstance(values[:n], values[n:])
     if not bipartite_profile_of(inst) == si_family(n, j):
         raise RuntimeError("realized instance is not in the target family")
     return SIGameReport(inst, j, oracle.count, oracle.transcript,
