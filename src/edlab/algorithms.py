@@ -11,13 +11,13 @@ drive it with a comparison budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (Answer, CountingOracle, Instance, Outcome, RunReport,
                    ceil_log2, verify_graph)
 from .profiles import ClusterProfile, approx_L2_scan, select_L1, select_L2
-from .sortsel import EQ, GT, LT, drive, merge_sort_gen, select_gen
+from .sortsel import EQ, LT, drive, merge_sort_gen, select_gen
 
 
 # --- kernels ---------------------------------------------------------------
@@ -50,27 +50,39 @@ def block_sorting_gen(items, k: int, stats: Optional[dict] = None):
     return Outcome.GAVE_UP, None
 
 
-def _median_rec(items, L, st):
-    # Calls below L elements are abandoned, not sorted; their mass is
-    # what the cost analysis charges.
+def _median_rec(items, L, C, st, memo, path, limit):
+    """Partition at the lower median and recurse on both strict sides.
+
+    Calls below L elements are abandoned, not sorted; their mass is
+    what the cost analysis charges, and once it reaches C the whole
+    recursion aborts.  Partitions at recursion paths shorter than
+    `limit` are kept in `memo` and replayed without oracle charge.
+    """
     if len(items) < L:
         if items:
             st["small_calls"] += 1
             st["small_mass"] += len(items)
+            if st["small_mass"] >= C:
+                return "abort"
         return None
-    med = yield from select_gen(items, (len(items) + 1) // 2)
-    less, greater = [], []
-    for it in items:
-        if it == med:
-            continue
-        a = yield (it, med)
-        if a is EQ:
-            return it, med
-        (less if a is LT else greater).append(it)
-    hit = yield from _median_rec(less, L, st)
+    if len(path) < limit and path in memo:
+        med, less, greater = memo[path]  # replay: no oracle charge
+    else:
+        med = yield from select_gen(items, (len(items) + 1) // 2)
+        less, greater = [], []
+        for it in items:
+            if it == med:
+                continue
+            a = yield (it, med)
+            if a is EQ:
+                return it, med
+            (less if a is LT else greater).append(it)
+        if len(path) < limit:
+            memo[path] = (med, less, greater)
+    hit = yield from _median_rec(less, L, C, st, memo, path + "0", limit)
     if hit is not None:
         return hit
-    return (yield from _median_rec(greater, L, st))
+    return (yield from _median_rec(greater, L, C, st, memo, path + "1", limit))
 
 
 def median_recursion_gen(items, L: int, stats: Optional[dict] = None):
@@ -88,7 +100,7 @@ def median_recursion_gen(items, L: int, stats: Optional[dict] = None):
     st = stats if stats is not None else {}
     st.setdefault("small_calls", 0)
     st.setdefault("small_mass", 0)
-    hit = yield from _median_rec(list(items), L, st)
+    hit = yield from _median_rec(list(items), L, math.inf, st, {}, "", 0)
     if hit is not None:
         return Outcome.DUPLICATE, hit
     return Outcome.GAVE_UP, None
@@ -115,33 +127,6 @@ def doubling_gen(n: int):
 
 # --- budgeted median recursion with memoized top levels --------------------
 
-def _median_rec_memo(items, L, C, st, memo, path, limit):
-    if len(items) < L:
-        if items:
-            st["mass"] += len(items)
-            if st["mass"] >= C:
-                return "abort"
-        return None
-    if len(path) < limit and path in memo:
-        med, less, greater = memo[path]  # replay: no oracle charge
-    else:
-        med = yield from select_gen(items, (len(items) + 1) // 2)
-        less, greater = [], []
-        for it in items:
-            if it == med:
-                continue
-            a = yield (it, med)
-            if a is EQ:
-                return it, med
-            (less if a is LT else greater).append(it)
-        if len(path) < limit:
-            memo[path] = (med, less, greater)
-    hit = yield from _median_rec_memo(less, L, C, st, memo, path + "0", limit)
-    if hit is not None:
-        return hit
-    return (yield from _median_rec_memo(greater, L, C, st, memo, path + "1", limit))
-
-
 def budgeted_median_branch_gen(n: int, i: int):
     """One parallel branch: doubling small-call budget C, L = max(2, C/2^i).
 
@@ -160,8 +145,8 @@ def budgeted_median_branch_gen(n: int, i: int):
         L = max(2, C >> i)
         limit = max(0, (n // C).bit_length() - 1) if C <= n else 0
         memo = {p: v for p, v in memo.items() if len(p) < limit}
-        st = {"mass": 0}
-        res = yield from _median_rec_memo(items, L, C, st, memo, "", limit)
+        st = {"small_calls": 0, "small_mass": 0}
+        res = yield from _median_rec(items, L, C, st, memo, "", limit)
         if res is not None and res != "abort":
             return Outcome.DUPLICATE, res
         C *= 2
