@@ -10,7 +10,6 @@ the first violation on stderr and exits 1.  EDLAB_SEED overrides any
 from __future__ import annotations
 
 import csv
-import os
 import sys
 
 import click
@@ -18,9 +17,6 @@ import click
 from . import harness
 from .core import read_instance
 from .profiles import read_profile
-
-DEFAULT_THREADS = min(8, os.cpu_count() or 1)
-
 
 def _emit(header, rows, out):
     fh = open(out, "w", encoding="utf-8", newline="") if out else sys.stdout
@@ -57,6 +53,10 @@ def _parse_ns(text):
 @click.group()
 def main():
     """Comparison-counting laboratory for duplicate detection."""
+    try:
+        harness.effective_seed(0)  # a bad EDLAB_SEED fails every verb
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from None
 
 
 @main.command()
@@ -123,24 +123,20 @@ def duel(algo, n, profile_path, rounds, out):
               help="comma-separated sizes")
 @click.option("--reps", type=int, default=10, show_default=True)
 @click.option("--seed", type=int, default=0)
-@click.option("--threads", type=int, default=DEFAULT_THREADS)
 @click.option("--out", type=click.Path(), default=None)
-def sweep_competitive(ns, reps, seed, threads, out):
+def sweep_competitive(ns, reps, seed, out):
     """Oblivious vs clairvoyant comparison counts over random profiles."""
-    cfg = harness.ExperimentConfig("competitive", ns=_parse_ns(ns), reps=reps,
-                                   seed=seed, out=out, threads=threads)
+    cfg = harness.ExperimentConfig(ns=_parse_ns(ns), reps=reps, seed=seed)
     header, rows, violations = harness.cmd_sweep_competitive(cfg)
     _finish(header, rows, violations, out)
 
 
 @main.command("sweep-separation")
 @click.option("--ns", default="1024,4096,16384", show_default=True)
-@click.option("--threads", type=int, default=DEFAULT_THREADS)
 @click.option("--out", type=click.Path(), default=None)
-def sweep_separation(ns, threads, out):
+def sweep_separation(ns, out):
     """Adversary round budgets vs median recursion on realized instances."""
-    cfg = harness.ExperimentConfig("separation", ns=_parse_ns(ns),
-                                   threads=threads, out=out)
+    cfg = harness.ExperimentConfig(ns=_parse_ns(ns))
     header, rows, violations = harness.cmd_sweep_separation(cfg)
     _finish(header, rows, violations, out)
 
@@ -149,12 +145,10 @@ def sweep_separation(ns, threads, out):
 @click.option("--count", type=int, default=200, show_default=True)
 @click.option("--nmax", type=int, default=1024, show_default=True)
 @click.option("--seed", type=int, default=0)
-@click.option("--threads", type=int, default=DEFAULT_THREADS)
 @click.option("--out", type=click.Path(), default=None)
-def check_bounds(count, nmax, seed, threads, out):
+def check_bounds(count, nmax, seed, out):
     """Structural inequalities on random profiles."""
-    cfg = harness.ExperimentConfig("check-bounds", ns=(nmax,), reps=count,
-                                   seed=seed, out=out, threads=threads)
+    cfg = harness.ExperimentConfig(ns=(nmax,), reps=count, seed=seed)
     header, rows, violations = harness.cmd_check_bounds(cfg)
     _finish(header, rows, violations, out)
 

@@ -13,7 +13,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 
 class Answer(Enum):
@@ -94,11 +94,6 @@ class CountingOracle:
         self.count += 1
         self.transcript.append((x, y, ans))
         return ans
-
-
-def compare(oracle: CountingOracle, x: int, y: int) -> Answer:
-    """Free-function form of oracle.compare, for symmetry with the ops."""
-    return oracle.compare(x, y)
 
 
 def realize_instance(profile, seed: int) -> Instance:

@@ -13,8 +13,7 @@ import math
 import os
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (CountingOracle, Instance, Outcome, realize_instance,
@@ -37,7 +36,12 @@ DUEL_ALGOS = ("block", "median", "oblivious", "doubling")
 
 def effective_seed(seed: int) -> int:
     env = os.environ.get("EDLAB_SEED")
-    return int(env) if env else seed
+    if not env:
+        return seed
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"EDLAB_SEED must be an integer, got {env!r}") from None
 
 
 def derive_seed(seed: int, *parts: int) -> int:
@@ -50,14 +54,9 @@ def derive_seed(seed: int, *parts: int) -> int:
 
 @dataclass
 class ExperimentConfig:
-    experiment: str
     ns: tuple = ()
-    profile_path: Optional[str] = None
-    algos: tuple = ()
     reps: int = 1
     seed: int = 0
-    out: Optional[str] = None
-    threads: int = 1
 
     def seeded(self) -> "ExperimentConfig":
         self.seed = effective_seed(self.seed)
@@ -275,13 +274,6 @@ def cmd_duel(algo: str, n: int, profile: ClusterProfile,
 
 # --- sweeps ------------------------------------------------------------
 
-def _fan_out(worker, tasks, threads: int):
-    if threads <= 1:
-        return [worker(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(worker, tasks))
-
-
 COMPETITIVE_HEADER = ["n", "profile_id", "clairvoyant_cmp", "oblivious_cmp",
                       "ratio", "ratio_over_llog"]
 
@@ -307,7 +299,7 @@ def cmd_sweep_competitive(cfg: ExperimentConfig):
                f"{ratio:.4f}", f"{ratio / lln:.4f}"]
         return row, bad
 
-    results = _fan_out(one, tasks, cfg.threads)
+    results = [one(t) for t in tasks]
     rows = [r for r, _ in results]
     violations = [b for _, b in results if b]
     return COMPETITIVE_HEADER, rows, violations
@@ -360,7 +352,7 @@ def separation_row(n: int):
 
 def cmd_sweep_separation(cfg: ExperimentConfig):
     cfg.seeded()  # deterministic anyway; kept for config completeness
-    results = _fan_out(separation_row, list(cfg.ns), cfg.threads)
+    results = [separation_row(n) for n in cfg.ns]
     rows = [r for r, _, _ in results]
     violations = [b for _, b, _ in results if b]
     ratios = [x for _, _, x in results]
@@ -406,7 +398,7 @@ def cmd_check_bounds(cfg: ExperimentConfig):
     cfg.seeded()
     nmax = max(cfg.ns) if cfg.ns else 1024
     tasks = [(pid, cfg.seed, nmax) for pid in range(cfg.reps)]
-    results = _fan_out(bounds_row, tasks, cfg.threads)
+    results = [bounds_row(t) for t in tasks]
     rows = [r for r, _ in results]
     violations = [b for _, b in results if b]
     return CHECK_HEADER, rows, violations

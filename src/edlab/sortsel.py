@@ -10,7 +10,7 @@ the generator against an oracle.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable
 
 from .core import Answer, CountingOracle
 
@@ -56,23 +56,6 @@ def drive_bounded(gen, oracle: CountingOracle, budget: int):
             return None, False
         ans = oracle.compare(*req)
         used += 1
-
-
-def eq_watch(gen):
-    """Forward a sub-generator, aborting with a witness on any EQ answer.
-
-    Returns ('dup', x, y) as soon as the oracle admits an equality, else
-    ('ok', value) with the wrapped generator's result.
-    """
-    ans = None
-    while True:
-        try:
-            req = gen.send(ans)
-        except StopIteration as stop:
-            return ("ok", stop.value)
-        ans = yield req
-        if ans is EQ:
-            return ("dup", req[0], req[1])
 
 
 def insertion_sort_gen(items):
@@ -138,8 +121,7 @@ def select_gen(items, k: int):
 
     Deterministic and linear; ties are resolved arbitrarily but stably,
     so with duplicates present any index of the k-th order statistic may
-    come back.  Never treats EQ as special (wrap with eq_watch for
-    abort-on-duplicate behavior).
+    come back.  Never treats EQ as special.
     """
     arr = list(items)
     if not 1 <= k <= len(arr):

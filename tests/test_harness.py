@@ -182,6 +182,31 @@ def test_cli_gen_seed_env_override(tmp_path, monkeypatch):
         (b / "random-m6-n48-s2").read_text()
 
 
+def test_effective_seed_rejects_non_integer(monkeypatch):
+    monkeypatch.setenv("EDLAB_SEED", "abc")
+    with pytest.raises(ValueError, match="EDLAB_SEED"):
+        effective_seed(7)
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--clique", "n=8"],
+    ["sweep-competitive", "--ns", "64", "--reps", "1"],
+    ["sweep-separation", "--ns", "1024"],
+    ["check-bounds", "--count", "1", "--nmax", "16"],
+    ["profile", "stats", "missing"],
+])
+def test_cli_non_integer_seed_env_fails_every_verb(args, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("EDLAB_SEED", "abc")
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code != 0
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and "EDLAB_SEED" in lines[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_gen_requires_exactly_one_mode(tmp_path):
     runner = CliRunner()
     res = runner.invoke(main, ["gen", "--out-dir", str(tmp_path)])
@@ -293,8 +318,7 @@ def test_cli_sweep_separation_frozen_row():
 
 def test_cli_sweep_competitive_small_deterministic():
     runner = CliRunner()
-    args = ["sweep-competitive", "--ns", "64", "--reps", "2", "--seed", "0",
-            "--threads", "1"]
+    args = ["sweep-competitive", "--ns", "64", "--reps", "2", "--seed", "0"]
     res1 = runner.invoke(main, args)
     res2 = runner.invoke(main, args)
     assert res1.exit_code == 0, res1.output
@@ -312,8 +336,7 @@ def test_cli_sweep_competitive_small_deterministic():
 def test_cli_check_bounds_small():
     runner = CliRunner()
     res = runner.invoke(main, ["check-bounds", "--count", "6",
-                               "--nmax", "64", "--seed", "1",
-                               "--threads", "1"])
+                               "--nmax", "64", "--seed", "1"])
     assert res.exit_code == 0, res.output
     rows = parse_csv(res.output)
     assert rows[0] == ["profile_id", "n", "m", "linear_subset_ok",

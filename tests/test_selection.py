@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edlab.core import Answer, CountingOracle, Instance
-from edlab.sortsel import (drive, drive_bounded, drive_with, eq_watch,
+from edlab.sortsel import (drive, drive_bounded, drive_with,
                            insertion_sort_gen, merge_sort_gen, select_gen)
 
 values_lists = st.lists(st.integers(min_value=0, max_value=50), min_size=1,
@@ -106,12 +106,3 @@ def test_drive_with_callable():
     fixed = lambda x, y: Answer.LT if x < y else Answer.GT
     res = drive_with(merge_sort_gen(range(5)), fixed)
     assert res == ("ok", [0, 1, 2, 3, 4])
-
-
-def test_eq_watch_aborts_on_equality():
-    vals = [7, 7]
-    res, o = run_on(vals, eq_watch(insertion_sort_gen(range(2))))
-    assert res == ("dup", 1, 0) or res == ("dup", 0, 1)
-    assert o.count == 1
-    res, _ = run_on([1, 2], eq_watch(insertion_sort_gen(range(2))))
-    assert res == ("ok", [0, 1])
