@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .core import Answer, CountingOracle, Instance, Outcome
 from .profiles import ClusterProfile, derive_reduced
-from .setint import SIInstance, bipartite_profile_of, si_family
+from .setint import SIInstance, bipartite_profile_of, si_cube_root, si_family
 from .sortsel import drive_bounded
 
 LT, EQ, GT = Answer.LT, Answer.EQ, Answer.GT
@@ -30,9 +30,6 @@ class AdversaryState:
     rounds_played: int
     transcript: list
     halted: Optional[tuple] = None  # set when the opponent stopped inside budget
-
-    def depth_sum(self) -> int:
-        return sum(len(p) for p in self.positions)
 
 
 def _diverge(pos, x, y) -> Answer:
@@ -342,15 +339,6 @@ def realize(state: AdversaryState, clusters) -> Instance:
     return Instance(tuple(values))
 
 
-@dataclass
-class GameReport:
-    state: AdversaryState
-    instance: Instance
-    profile: ClusterProfile
-    params: dict
-    consistent: bool
-
-
 def order_game(n: int):
     """Adversarial known-rank instance for the prefix-doubling opponent.
 
@@ -393,11 +381,7 @@ class SIAdversary:
     """
 
     def __init__(self, n: int):
-        s = round(n ** (1 / 3))
-        while s ** 3 < n:
-            s += 1
-        if s ** 3 != n or s < 2 or s & (s - 1):
-            raise ValueError("n must be 2**(3t) for integer t >= 1")
+        s = si_cube_root(n)
         self.n = n
         self.s = s
         self.l = round(math.log2(n)) // 3

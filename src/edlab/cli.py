@@ -3,8 +3,9 @@
 Verbs: gen, run, duel, sweep-competitive, sweep-separation, check-bounds,
 si, profile.  Results are CSV (comma-separated, header row, LF); the
 process exits 0 iff every checked invariant held, otherwise it prints
-the first violation on stderr and exits 1.  EDLAB_SEED overrides any
---seed flag.
+the first violation on stderr and exits 1.  Bad input also exits 1,
+with one `Error:` line instead of a traceback.  EDLAB_SEED overrides
+any --seed flag.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ from . import harness
 from .core import read_instance
 from .profiles import read_profile
 
-def _emit(header, rows, out):
+def _exit_on(violations):
+    if violations:
+        click.echo(f"violation: {violations[0]}", err=True)
+        sys.exit(1)
+
+
+def _finish(header, rows, violations, out):
     fh = open(out, "w", encoding="utf-8", newline="") if out else sys.stdout
     try:
         w = csv.writer(fh, lineterminator="\n")
@@ -27,13 +34,7 @@ def _emit(header, rows, out):
     finally:
         if out:
             fh.close()
-
-
-def _finish(header, rows, violations, out):
-    _emit(header, rows, out)
-    if violations:
-        click.echo(f"violation: {violations[0]}", err=True)
-        sys.exit(1)
+    _exit_on(violations)
 
 
 def _kv(pairs):
@@ -50,13 +51,20 @@ def _parse_ns(text):
     return tuple(int(tok) for tok in text.split(",") if tok)
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports a ValueError from any verb as `Error: <msg>`, exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from None
+
+
+@click.group(cls=_Group)
 def main():
     """Comparison-counting laboratory for duplicate detection."""
-    try:
-        harness.effective_seed(0)  # a bad EDLAB_SEED fails every verb
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+    harness.effective_seed(0)  # a bad EDLAB_SEED fails every verb
 
 
 @main.command()
@@ -80,9 +88,7 @@ def gen(profile_random, clique, seed, out_dir):
                                             random_n=params["n"], seed=seed)
     for p in paths:
         click.echo(p)
-    if violations:
-        click.echo(f"violation: {violations[0]}", err=True)
-        sys.exit(1)
+    _exit_on(violations)
 
 
 @main.command()
@@ -105,16 +111,15 @@ def run(algo, input_path, k, l_param, profile_path, out):
 
 @main.command()
 @click.option("--algo", type=click.Choice(harness.DUEL_ALGOS), required=True)
-@click.option("--n", type=int, required=True)
 @click.option("--profile", "profile_path", type=click.Path(exists=True),
               required=True)
 @click.option("--rounds", type=int, default=None,
               help="round budget; default keeps reconstruction guaranteed")
 @click.option("--out", type=click.Path(), default=None)
-def duel(algo, n, profile_path, rounds, out):
+def duel(algo, profile_path, rounds, out):
     """Play an algorithm against the adaptive adversary, then realize."""
     prof = read_profile(profile_path)
-    header, rows, violations = harness.cmd_duel(algo, n, prof, rounds)
+    header, rows, violations = harness.cmd_duel(algo, prof.n, prof, rounds)
     _finish(header, rows, violations, out)
 
 
@@ -126,8 +131,8 @@ def duel(algo, n, profile_path, rounds, out):
 @click.option("--out", type=click.Path(), default=None)
 def sweep_competitive(ns, reps, seed, out):
     """Oblivious vs clairvoyant comparison counts over random profiles."""
-    cfg = harness.ExperimentConfig(ns=_parse_ns(ns), reps=reps, seed=seed)
-    header, rows, violations = harness.cmd_sweep_competitive(cfg)
+    header, rows, violations = harness.cmd_sweep_competitive(
+        _parse_ns(ns), reps, seed)
     _finish(header, rows, violations, out)
 
 
@@ -136,8 +141,7 @@ def sweep_competitive(ns, reps, seed, out):
 @click.option("--out", type=click.Path(), default=None)
 def sweep_separation(ns, out):
     """Adversary round budgets vs median recursion on realized instances."""
-    cfg = harness.ExperimentConfig(ns=_parse_ns(ns))
-    header, rows, violations = harness.cmd_sweep_separation(cfg)
+    header, rows, violations = harness.cmd_sweep_separation(_parse_ns(ns))
     _finish(header, rows, violations, out)
 
 
@@ -148,8 +152,7 @@ def sweep_separation(ns, out):
 @click.option("--out", type=click.Path(), default=None)
 def check_bounds(count, nmax, seed, out):
     """Structural inequalities on random profiles."""
-    cfg = harness.ExperimentConfig(ns=(nmax,), reps=count, seed=seed)
-    header, rows, violations = harness.cmd_check_bounds(cfg)
+    header, rows, violations = harness.cmd_check_bounds(count, nmax, seed)
     _finish(header, rows, violations, out)
 
 
@@ -164,12 +167,10 @@ def si():
 @click.option("--input", "input_path", type=click.Path(exists=True),
               required=True)
 @click.option("--i", "i_param", type=int, default=None)
-@click.option("--n", "n_param", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None)
-def si_run(algo, input_path, i_param, n_param, out):
+def si_run(algo, input_path, i_param, out):
     """Run a set-intersection algorithm on an A:/B: instance file."""
-    header, rows, violations = harness.cmd_si_run(algo, input_path,
-                                                  i=i_param, n=n_param)
+    header, rows, violations = harness.cmd_si_run(algo, input_path, i_param)
     _finish(header, rows, violations, out)
 
 

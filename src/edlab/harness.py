@@ -1,10 +1,12 @@
 """Experiment layer: random profile families, sweeps, duels, CSV rows.
 
-Every command returns (header, rows, violations); the CLI renders rows
-as comma-separated CSV with a header line and LF terminators, and exits
-non-zero listing the first violation.  All randomness flows from one
-seed (overridable via the EDLAB_SEED environment variable), so every
-row is reproducible from the configuration alone.
+Every command takes plain arguments and returns (header, rows,
+violations); the CLI renders rows as comma-separated CSV with a header
+line and LF terminators, and exits 1 naming the first violation.  Bad
+input raises ValueError, which the CLI reports as one `Error:` line.
+All randomness flows from one seed (overridable via the EDLAB_SEED
+environment variable), so every row is reproducible from the command's
+arguments alone.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (CountingOracle, Instance, Outcome, realize_instance,
@@ -50,17 +51,6 @@ def derive_seed(seed: int, *parts: int) -> int:
     for p in parts:
         h = (h * 1000003 + p + 0x9E3779B9) & 0xFFFFFFFF
     return h
-
-
-@dataclass
-class ExperimentConfig:
-    ns: tuple = ()
-    reps: int = 1
-    seed: int = 0
-
-    def seeded(self) -> "ExperimentConfig":
-        self.seed = effective_seed(self.seed)
-        return self
 
 
 # --- random profile families ------------------------------------------------
@@ -278,30 +268,26 @@ COMPETITIVE_HEADER = ["n", "profile_id", "clairvoyant_cmp", "oblivious_cmp",
                       "ratio", "ratio_over_llog"]
 
 
-def cmd_sweep_competitive(cfg: ExperimentConfig):
-    cfg.seeded()
-    tasks = [(n, pid) for n in cfg.ns for pid in range(cfg.reps)]
-
-    def one(task):
-        n, pid = task
-        rng = random.Random(derive_seed(cfg.seed, n, pid))
-        prof = ClusterProfile(random_profile(rng, n, pid % 4))
-        inst = realize_instance(prof, seed=derive_seed(cfg.seed, n, pid, 1))
-        r_cv = clairvoyant(CountingOracle(inst), inst, prof)
-        r_ob = oblivious(CountingOracle(inst), n)
-        bad = check_report(inst, r_cv) or check_report(inst, r_ob)
-        for rep, name in ((r_cv, "clairvoyant"), (r_ob, "oblivious")):
-            if rep.outcome is not Outcome.DUPLICATE:
-                bad = bad or f"{name} missed the duplicate on n={n} id={pid}"
-        ratio = r_ob.comparisons / max(1, r_cv.comparisons)
+def cmd_sweep_competitive(ns, reps: int, seed: int):
+    seed = effective_seed(seed)
+    rows, violations = [], []
+    for n in ns:
         lln = math.log2(math.log2(n))
-        row = [n, pid, r_cv.comparisons, r_ob.comparisons,
-               f"{ratio:.4f}", f"{ratio / lln:.4f}"]
-        return row, bad
-
-    results = [one(t) for t in tasks]
-    rows = [r for r, _ in results]
-    violations = [b for _, b in results if b]
+        for pid in range(reps):
+            rng = random.Random(derive_seed(seed, n, pid))
+            prof = ClusterProfile(random_profile(rng, n, pid % 4))
+            inst = realize_instance(prof, seed=derive_seed(seed, n, pid, 1))
+            r_cv = clairvoyant(CountingOracle(inst), inst, prof)
+            r_ob = oblivious(CountingOracle(inst), n)
+            bad = check_report(inst, r_cv) or check_report(inst, r_ob)
+            for rep, name in ((r_cv, "clairvoyant"), (r_ob, "oblivious")):
+                if rep.outcome is not Outcome.DUPLICATE:
+                    bad = bad or f"{name} missed the duplicate on n={n} id={pid}"
+            ratio = r_ob.comparisons / max(1, r_cv.comparisons)
+            rows.append([n, pid, r_cv.comparisons, r_ob.comparisons,
+                         f"{ratio:.4f}", f"{ratio / lln:.4f}"])
+            if bad:
+                violations.append(bad)
     return COMPETITIVE_HEADER, rows, violations
 
 
@@ -350,13 +336,12 @@ def separation_row(n: int):
     return row, bad, ratio
 
 
-def cmd_sweep_separation(cfg: ExperimentConfig):
-    cfg.seeded()  # deterministic anyway; kept for config completeness
-    results = [separation_row(n) for n in cfg.ns]
+def cmd_sweep_separation(ns):
+    results = [separation_row(n) for n in ns]
     rows = [r for r, _, _ in results]
     violations = [b for _, b, _ in results if b]
     ratios = [x for _, _, x in results]
-    if list(cfg.ns) == sorted(cfg.ns) and len(ratios) > 1:
+    if list(ns) == sorted(ns) and len(ratios) > 1:
         if any(b < a for a, b in zip(ratios, ratios[1:])):
             violations.append("separation ratio not non-decreasing in n")
     return SEPARATION_HEADER, rows, violations
@@ -366,16 +351,14 @@ CHECK_HEADER = ["profile_id", "n", "m", "linear_subset_ok", "approx_factor",
                 "block_iters_ok"]
 
 
-def bounds_row(args):
-    pid, seed, nmax = args
+def bounds_row(pid: int, seed: int, nmax: int):
     rng = random.Random(derive_seed(seed, pid))
     n = rng.randrange(8, nmax + 1)
     prof = ClusterProfile(random_multicluster_profile(rng, n, pid % 4))
     linear_ok = check_linear_subset(prof)
     _, obj, _ = approx_L2_scan(prof)
-    _, opt = select_L2(prof)
+    L2, opt = select_L2(prof)
     factor = obj / opt if opt > 0 else 1.0
-    L2, _ = select_L2(prof)
     C2, D2 = cd(prof, L2)
     block_ok: object = ""
     if 2 * C2 < n and D2 > 0:
@@ -394,11 +377,9 @@ def bounds_row(args):
     return row, bad
 
 
-def cmd_check_bounds(cfg: ExperimentConfig):
-    cfg.seeded()
-    nmax = max(cfg.ns) if cfg.ns else 1024
-    tasks = [(pid, cfg.seed, nmax) for pid in range(cfg.reps)]
-    results = [bounds_row(t) for t in tasks]
+def cmd_check_bounds(count: int, nmax: int, seed: int):
+    seed = effective_seed(seed)
+    results = [bounds_row(pid, seed, nmax) for pid in range(count)]
     rows = [r for r, _ in results]
     violations = [b for _, b in results if b]
     return CHECK_HEADER, rows, violations
@@ -410,16 +391,16 @@ SI_HEADER = ["algo", "na", "nb", "outcome", "comparisons", "witness_a",
              "witness_b"]
 
 
-def cmd_si_run(algo: str, path, i: Optional[int] = None,
-               n: Optional[int] = None):
+def cmd_si_run(algo: str, path, i: Optional[int] = None):
     inst = read_si_instance(path)
     oracle = inst.oracle()
     if algo == "doubling":
         rep = si_doubling(oracle, inst.na, inst.nb)
     elif algo == "clairvoyant":
-        if i is None or n is None:
-            raise ValueError("clairvoyant needs --i and --n")
-        rep = si_clairvoyant(oracle, inst.na, inst.nb, i, n)
+        if i is None:
+            raise ValueError("clairvoyant needs --i")
+        # a family instance has |A| = n
+        rep = si_clairvoyant(oracle, inst.na, inst.nb, i, inst.na)
     else:
         raise ValueError(f"unknown si algorithm {algo!r}")
     # witnesses live in the combined index space: A first, then B

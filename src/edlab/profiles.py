@@ -152,8 +152,8 @@ def select_L1(profile: ClusterProfile) -> Optional[tuple[int, float]]:
     return best
 
 
-def select_L2(profile: ClusterProfile) -> tuple[int, float]:
-    """argmin over {L >= 1 : 2*C(L) < n} of (C+D)*max(1, log2 D).
+def _bound2_min(profile: ClusterProfile, cap: int) -> tuple[int, float]:
+    """argmin over {L >= 1 : cap*C(L) < n} of (C+D)*max(1, log2 D).
 
     The objective is constant on pieces, so piece starts are scanned and
     ties resolve to the smaller L.  L = 1 always qualifies.
@@ -162,7 +162,7 @@ def select_L2(profile: ClusterProfile) -> tuple[int, float]:
     best = None
     for L in profile.piece_starts():
         C = profile.c(L)
-        if 2 * C >= n:
+        if cap * C >= n:
             continue
         val = bound2_value(C, profile.d(L))
         if best is None or val < best[1]:
@@ -170,13 +170,13 @@ def select_L2(profile: ClusterProfile) -> tuple[int, float]:
     return best
 
 
-def approx_L2(profile: ClusterProfile) -> int:
-    """Linear-time approximation of select_L2 from size arithmetic only."""
-    return approx_L2_scan(profile)[0]
+def select_L2(profile: ClusterProfile) -> tuple[int, float]:
+    """argmin over {L >= 1 : 2*C(L) < n} of (C+D)*max(1, log2 D)."""
+    return _bound2_min(profile, 2)
 
 
 def approx_L2_scan(profile: ClusterProfile) -> tuple[int, float, int]:
-    """Recursive-halving scan behind approx_L2.
+    """Linear-time approximation of select_L2 from size arithmetic only.
 
     Repeatedly selects the median of the surviving sizes and keeps the
     upper half, recording the minimum t_j of each call together with the
@@ -316,25 +316,11 @@ class LowerBounds:
                    lower_bound_combined(profile))
 
 
-def _g_min_objective(profile: ClusterProfile) -> float:
-    """min over {L >= 1 : C(L) < n} of (C+D)*max(1, log2 D), no /2 filter."""
-    n = profile.n
-    best = None
-    for L in profile.piece_starts():
-        C = profile.c(L)
-        if C >= n:
-            continue
-        val = bound2_value(C, profile.d(L))
-        if best is None or val < best:
-            best = val
-    return best
-
-
 def reduction_budget(profile: ClusterProfile) -> float:
     """min(n'/8, (1/32)*min_{C'(L)<n'} (C'+D')*max(1,log2 D')) over the
     reduced profile G' of derive_reduced, with n' its vertex count."""
     reduced, n_prime, _ = derive_reduced(profile)
-    return min(n_prime / 8.0, _g_min_objective(reduced) / 32.0)
+    return min(n_prime / 8.0, _bound2_min(reduced, 1)[1] / 32.0)
 
 
 def check_linear_subset(profile: ClusterProfile) -> bool:

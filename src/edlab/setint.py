@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import Answer, CountingOracle, Instance, Outcome, RunReport
+from .core import CountingOracle, Instance, Outcome, RunReport
 from .sortsel import EQ, drive, merge_sort_gen, select_gen
 
 
@@ -69,6 +69,16 @@ def verify_bipartite(inst: SIInstance, profile: BipartiteProfile) -> bool:
     return bipartite_profile_of(inst) == profile
 
 
+def si_cube_root(n: int) -> int:
+    """The exact cube root s of a family size n = 2^(3t), t >= 1."""
+    s = round(n ** (1 / 3))
+    while s ** 3 < n:
+        s += 1
+    if s ** 3 != n or s < 2 or s & (s - 1):
+        raise ValueError("n must be 2**(3t) for integer t >= 1")
+    return s
+
+
 def si_family(n: int, i: int) -> BipartiteProfile:
     """The hard bipartite family: which type-1 cluster intersects B is i.
 
@@ -76,11 +86,7 @@ def si_family(n: int, i: int) -> BipartiteProfile:
     (n - n^(1/3)(n^(1/3)+1)/2, 0).  Requires n = 2^(3t) so the cube
     root is exact.
     """
-    s = round(n ** (1 / 3))
-    while s ** 3 < n:
-        s += 1
-    if s ** 3 != n or s < 2 or s & (s - 1):
-        raise ValueError("n must be 2**(3t) for integer t >= 1")
+    s = si_cube_root(n)
     if not 1 <= i <= s:
         raise ValueError(f"i must be in 1..{s}")
     clusters = [(j, 1 if j == i else 0) for j in range(1, s + 1)]

@@ -3,14 +3,13 @@
 import csv
 import io
 import math
-import os
 import random
 
 import pytest
 from click.testing import CliRunner
 
 from edlab.cli import main
-from edlab.core import CountingOracle, Outcome, RunReport, read_instance
+from edlab.core import Outcome, RunReport, read_instance
 from edlab.harness import (
     check_report,
     default_block_k,
@@ -207,6 +206,40 @@ def test_cli_non_integer_seed_env_fails_every_verb(args, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+BAD_INPUT_FILES = {
+    "pair.inst": "0\n0\n1\n",
+    "empty.inst": "",
+    "garbled.inst": "1\nx\n",
+    "garbled.prof": "3\nabc\n",
+    "early.si": "1\nA:\n1\nB:\n1\n",
+    "ok.si": "A:\n1\nB:\n1\n",
+    "other.prof": "2\n2\n",
+}
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--algo", "block", "--k", "0", "--input", "pair.inst"],
+    ["run", "--algo", "median", "--l", "0", "--input", "pair.inst"],
+    ["run", "--algo", "block", "--input", "empty.inst"],
+    ["run", "--algo", "block", "--input", "garbled.inst"],
+    ["profile", "stats", "garbled.prof"],
+    ["si", "run", "--algo", "doubling", "--input", "early.si"],
+    ["run", "--algo", "clairvoyant", "--input", "pair.inst",
+     "--profile", "other.prof"],
+    ["si", "run", "--algo", "clairvoyant", "--input", "ok.si"],
+    ["sweep-competitive", "--ns", "64,x"],
+])
+def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: ")
+
+
 def test_cli_gen_requires_exactly_one_mode(tmp_path):
     runner = CliRunner()
     res = runner.invoke(main, ["gen", "--out-dir", str(tmp_path)])
@@ -269,8 +302,7 @@ def test_cli_duel_small(tmp_path, algo):
     runner = CliRunner()
     runner.invoke(main, ["gen", "--profile-random", "m=8", "n=64",
                          "--seed", "1", "--out-dir", str(tmp_path)])
-    res = runner.invoke(main, ["duel", "--algo", algo, "--n", "64",
-                               "--profile",
+    res = runner.invoke(main, ["duel", "--algo", algo, "--profile",
                                str(tmp_path / "random-m8-n64-s1"),
                                "--rounds", "5"])
     assert res.exit_code == 0, res.output
@@ -294,8 +326,8 @@ def test_cli_duel_past_guaranteed_budget_is_data_not_violation(tmp_path):
     ppath = str(tmp_path / "random-m8-n256-s5")
     from edlab.harness import reconstruction_budget
     assert reconstruction_budget(read_profile(ppath)) == 0
-    res = runner.invoke(main, ["duel", "--algo", "doubling", "--n", "256",
-                               "--profile", ppath, "--rounds", "40"])
+    res = runner.invoke(main, ["duel", "--algo", "doubling", "--profile",
+                               ppath, "--rounds", "40"])
     assert res.exit_code == 0, res.output
     rows = parse_csv(res.output)
     assert rows[1][3] == "True"   # opponent survived the 40 rounds
@@ -363,7 +395,7 @@ def test_cli_si_run_both_algorithms(tmp_path):
                        "witness_a", "witness_b"]
     assert rows[1][:4] == ["doubling", "8", "8", "duplicate"]
     res = runner.invoke(main, ["si", "run", "--algo", "clairvoyant",
-                               "--input", str(path), "--i", "1", "--n", "8"])
+                               "--input", str(path), "--i", "1"])
     assert res.exit_code == 0, res.output
     rows = parse_csv(res.output)
     assert rows[1][3] == "duplicate"

@@ -3,19 +3,19 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from bruteforce import (brute_cd, brute_lower_bound_block,
                         brute_lower_bound_combined, brute_lower_bound_median,
                         brute_reduction_budget, brute_select_L1,
                         brute_select_L2)
-from edlab.profiles import (ClusterProfile, LowerBounds, approx_L2,
-                            approx_L2_scan, cd, check_linear_subset,
-                            derive_reduced, lower_bound_block,
-                            lower_bound_combined, lower_bound_median,
-                            read_profile, reduction_budget, select_L1,
-                            select_L2, selection_for, write_profile)
+from edlab.profiles import (ClusterProfile, LowerBounds, approx_L2_scan, cd,
+                            check_linear_subset, derive_reduced,
+                            lower_bound_block, lower_bound_combined,
+                            lower_bound_median, read_profile,
+                            reduction_budget, select_L1, select_L2,
+                            selection_for, write_profile)
 
 profiles = st.lists(st.integers(min_value=1, max_value=12), min_size=1,
                     max_size=20).map(ClusterProfile)
@@ -109,7 +109,6 @@ def test_approx_L2_trivial_profile():
     p = ClusterProfile([8])
     t, obj, count = approx_L2_scan(p)
     assert (t, obj, count) == (8, 1.0, 0)
-    assert approx_L2(p) == 8
 
 
 @given(p=profiles)
