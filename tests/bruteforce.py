@@ -15,7 +15,7 @@ from edlab.adversary import AdversaryState
 from edlab.core import Answer, CountingOracle, Instance, Outcome, ceil_log2
 from edlab.profiles import ClusterProfile
 from edlab.setint import SIInstance, bipartite_profile_of, si_family
-from edlab.sortsel import drive_bounded, select_gen
+from edlab.sortsel import drive, drive_bounded
 
 LT, EQ, GT = Answer.LT, Answer.EQ, Answer.GT
 
@@ -443,6 +443,134 @@ def brute_si_adversary_game(opponent_factory: Callable[[int], object],
                              finished, result if finished else None)
 
 
+def recording_oracle(values) -> CountingOracle:
+    """An oracle that answers from ``values`` through the adversary hook.
+
+    Only adversary-mode oracles keep a transcript, so tests that compare
+    request sequences play the values this way; the transcript's (x, y)
+    pairs are then every request, in order.
+    """
+    vals = tuple(values)
+
+    def hook(x, y):
+        vx, vy = vals[x], vals[y]
+        return LT if vx < vy else GT if vx > vy else EQ
+    return CountingOracle(adversary=hook, n=len(vals))
+
+
+def recorded_run(gen, values):
+    """The generator's result and every request it made, in order."""
+    oracle = recording_oracle(values)
+    return drive(gen, oracle), [(x, y) for x, y, _ in oracle.transcript]
+
+
+# --- reference sort/select kernels ---------------------------------------
+# The kernels as sortsel wrote them with one generator frame per
+# recursion level: merge sort recursing on both halves, selection
+# recursing for its pivot through a separate insertion sort.  Copied
+# verbatim apart from the brute_ names.  sortsel's single-frame kernels
+# must issue the same requests and return the same results.
+
+def brute_insertion_sort_gen(items):
+    """Binary-insertion sort; ties keep insertion order.  Returns the list."""
+    out = []
+    for x in items:
+        lo, hi = 0, len(out)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            ans = yield (x, out[mid])
+            if ans is LT:
+                hi = mid
+            else:
+                lo = mid + 1
+        out.insert(lo, x)
+    return out
+
+
+def brute_merge_sort_gen(items, witness=None):
+    """Merge sort over index lists.
+
+    ``witness(x, y)`` decides whether an EQ answer is a reportable
+    duplicate; by default every equality is.  Non-witness equalities are
+    treated as "left first" and sorting continues, so the output is a
+    stable total preorder.  Returns ('ok', sorted) or ('dup', x, y).
+
+    A block of size b costs at most b*ceil(log2 b) comparisons, and if
+    two equal witness-eligible elements are present the sort always
+    compares some such pair directly (they meet at the merge joining
+    their two halves), so a clean run certifies distinctness.
+    """
+    items = list(items)
+    n = len(items)
+    if n <= 1:
+        return ("ok", items)
+    mid = n // 2
+    left = yield from brute_merge_sort_gen(items[:mid], witness)
+    if left[0] == "dup":
+        return left
+    right = yield from brute_merge_sort_gen(items[mid:], witness)
+    if right[0] == "dup":
+        return right
+    lseq, rseq = left[1], right[1]
+    out = []
+    i = j = 0
+    while i < len(lseq) and j < len(rseq):
+        ans = yield (lseq[i], rseq[j])
+        if ans is EQ and (witness is None or witness(lseq[i], rseq[j])):
+            return ("dup", lseq[i], rseq[j])
+        if ans is GT:
+            out.append(rseq[j])
+            j += 1
+        else:
+            out.append(lseq[i])
+            i += 1
+    out.extend(lseq[i:])
+    out.extend(rseq[j:])
+    return ("ok", out)
+
+
+def brute_select_gen(items, k: int):
+    """Median of medians, group size 5: index of the k-th smallest (1-based).
+
+    Deterministic and linear; ties are resolved arbitrarily but stably,
+    so with duplicates present any index of the k-th order statistic may
+    come back.  Never treats EQ as special.
+    """
+    arr = list(items)
+    if not 1 <= k <= len(arr):
+        raise ValueError(f"rank {k} out of range for {len(arr)} items")
+    while True:
+        n = len(arr)
+        if n <= 5:
+            srt = yield from brute_insertion_sort_gen(arr)
+            return srt[k - 1]
+        # pivot estimated from complete quintets only; the trailing partial
+        # group is never sorted, it just takes part in the partition below
+        medians = []
+        for g in range(0, n - n % 5, 5):
+            grp = yield from brute_insertion_sort_gen(arr[g : g + 5])
+            medians.append(grp[2])
+        pivot = yield from brute_select_gen(medians, (len(medians) + 1) // 2)
+        less, equal, greater = [], [pivot], []
+        for it in arr:
+            if it == pivot:
+                continue
+            ans = yield (it, pivot)
+            if ans is LT:
+                less.append(it)
+            elif ans is GT:
+                greater.append(it)
+            else:
+                equal.append(it)
+        if k <= len(less):
+            arr = less
+        elif k <= len(less) + len(equal):
+            return pivot
+        else:
+            k -= len(less) + len(equal)
+            arr = greater
+
+
 # --- reference median recursions ----------------------------------------
 # The two recursions median recursion used to keep: the plain one with
 # its small-call stats, and the budgeted one with memoized top levels
@@ -458,7 +586,7 @@ def _median_rec(items, L, st):
             st["small_calls"] += 1
             st["small_mass"] += len(items)
         return None
-    med = yield from select_gen(items, (len(items) + 1) // 2)
+    med = yield from brute_select_gen(items, (len(items) + 1) // 2)
     less, greater = [], []
     for it in items:
         if it == med:
@@ -495,7 +623,7 @@ def _median_rec_memo(items, L, C, st, memo, path, limit):
     if len(path) < limit and path in memo:
         med, less, greater = memo[path]  # replay: no oracle charge
     else:
-        med = yield from select_gen(items, (len(items) + 1) // 2)
+        med = yield from brute_select_gen(items, (len(items) + 1) // 2)
         less, greater = [], []
         for it in items:
             if it == med:

@@ -7,16 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import (brute_budgeted_median_branch_gen,
-                        brute_median_recursion_gen)
+                        brute_median_recursion_gen, recorded_run as run)
 from edlab.algorithms import budgeted_median_branch_gen, median_recursion_gen
-from edlab.core import CountingOracle, Instance
-from edlab.sortsel import drive
-
-
-def run(gen, values):
-    """The generator's result and every request it made, in order."""
-    oracle = CountingOracle(Instance(tuple(values)))
-    return drive(gen, oracle), oracle.transcript
 
 
 @st.composite
