@@ -31,58 +31,64 @@ def block_sorting_gen(items, k: int, stats: Optional[dict] = None):
     """
     if k < 1:
         raise ValueError("block size must be >= 1")
-    remaining = list(items)
-    iters = 0
-    while len(remaining) >= 2 * k:
-        block, remaining = remaining[:k], remaining[k:]
+    items = list(items)
+    start = iters = 0  # items[start:] remain
+    while len(items) - start >= 2 * k:
         iters += 1
         if stats is not None:
             stats["iterations"] = iters
-        res = yield from merge_sort_gen(block)
+        res = yield from merge_sort_gen(items[start : start + k])
         if res[0] == "dup":
             return Outcome.DUPLICATE, (res[1], res[2])
+        start += k
     iters += 1
     if stats is not None:
         stats["iterations"] = iters
-    res = yield from merge_sort_gen(remaining)
+    res = yield from merge_sort_gen(items[start:])
     if res[0] == "dup":
         return Outcome.DUPLICATE, (res[1], res[2])
     return Outcome.GAVE_UP, None
 
 
-def _median_rec(items, L, C, st, memo, path, limit):
+def _median_rec(items, L, C, st, memo, limit):
     """Partition at the lower median and recurse on both strict sides.
 
     Calls below L elements are abandoned, not sorted; their mass is
     what the cost analysis charges, and once it reaches C the whole
     recursion aborts.  Partitions at recursion paths shorter than
     `limit` are kept in `memo` and replayed without oracle charge.
+
+    Depth first on an explicit stack: a call pushes its greater side
+    and then its less side, so calls run in the recursive order and a
+    path is the string of 0 (less) and 1 (greater) steps from the root.
     """
-    if len(items) < L:
-        if items:
-            st["small_calls"] += 1
-            st["small_mass"] += len(items)
-            if st["small_mass"] >= C:
-                return "abort"
-        return None
-    if len(path) < limit and path in memo:
-        med, less, greater = memo[path]  # replay: no oracle charge
-    else:
-        med = yield from select_gen(items, (len(items) + 1) // 2)
-        less, greater = [], []
-        for it in items:
-            if it == med:
-                continue
-            a = yield (it, med)
-            if a is EQ:
-                return it, med
-            (less if a is LT else greater).append(it)
-        if len(path) < limit:
-            memo[path] = (med, less, greater)
-    hit = yield from _median_rec(less, L, C, st, memo, path + "0", limit)
-    if hit is not None:
-        return hit
-    return (yield from _median_rec(greater, L, C, st, memo, path + "1", limit))
+    stack = [(items, "")]
+    while stack:
+        items, path = stack.pop()
+        if len(items) < L:
+            if items:
+                st["small_calls"] += 1
+                st["small_mass"] += len(items)
+                if st["small_mass"] >= C:
+                    return "abort"
+            continue
+        if len(path) < limit and path in memo:
+            med, less, greater = memo[path]  # replay: no oracle charge
+        else:
+            med = yield from select_gen(items, (len(items) + 1) // 2)
+            less, greater = [], []
+            for it in items:
+                if it == med:
+                    continue
+                a = yield (it, med)
+                if a is EQ:
+                    return it, med
+                (less if a is LT else greater).append(it)
+            if len(path) < limit:
+                memo[path] = (med, less, greater)
+        stack.append((greater, path + "1"))
+        stack.append((less, path + "0"))
+    return None
 
 
 def median_recursion_gen(items, L: int, stats: Optional[dict] = None):
@@ -100,7 +106,7 @@ def median_recursion_gen(items, L: int, stats: Optional[dict] = None):
     st = stats if stats is not None else {}
     st.setdefault("small_calls", 0)
     st.setdefault("small_mass", 0)
-    hit = yield from _median_rec(list(items), L, math.inf, st, {}, "", 0)
+    hit = yield from _median_rec(list(items), L, math.inf, st, {}, 0)
     if hit is not None:
         return Outcome.DUPLICATE, hit
     return Outcome.GAVE_UP, None
@@ -146,7 +152,7 @@ def budgeted_median_branch_gen(n: int, i: int):
         limit = max(0, (n // C).bit_length() - 1) if C <= n else 0
         memo = {p: v for p, v in memo.items() if len(p) < limit}
         st = {"small_calls": 0, "small_mass": 0}
-        res = yield from _median_rec(items, L, C, st, memo, "", limit)
+        res = yield from _median_rec(items, L, C, st, memo, limit)
         if res is not None and res != "abort":
             return Outcome.DUPLICATE, res
         C *= 2

@@ -1,10 +1,15 @@
-"""Instances, the comparison-counting oracle, and transcript plumbing.
+"""Instances, the comparison-counting oracle, and transcript replay.
 
 Every algorithm in this package works in the comparison model: inputs are
 lists of opaque values that may only be inspected through three-way
 comparisons.  Values are realized as integer ranks, but only realization
 and verification code is allowed to look at them; algorithms receive an
 oracle plus index lists and nothing else.
+
+The oracle counts every comparison.  It records a transcript only when
+an adversary answers: a game's transcript is what replay checks against
+the instance the adversary realizes, while an instance-mode run has its
+instance already and keeps no per-comparison record.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ class Answer(Enum):
     LT = "<"
     EQ = "="
     GT = ">"
+
+
+_LT, _EQ, _GT = Answer.LT, Answer.EQ, Answer.GT
 
 
 class Outcome(Enum):
@@ -60,11 +68,14 @@ Transcript = list  # list of (x, y, Answer) triples
 
 
 class CountingOracle:
-    """Gateway for comparisons: counts them and records a transcript.
+    """Gateway for comparisons: counts them, and records adversary games.
 
     Two modes: backed by a realized Instance (answers come from value
     ranks) or backed by an adversary hook (answers come from a callable;
-    no instance exists until the adversary commits to one).
+    no instance exists until the adversary commits to one).  Only
+    adversary mode records a transcript, because only games replay
+    their answers on the instance they realize; in instance mode
+    ``transcript`` is None.
     """
 
     def __init__(self, instance: Optional[Instance] = None,
@@ -78,22 +89,24 @@ class CountingOracle:
         if self.n is None:
             raise ValueError("adversary mode needs an explicit n")
         self.count = 0
-        self.transcript: Transcript = []
+        self.transcript: Optional[Transcript] = (
+            [] if adversary is not None else None)
 
     def compare(self, x: int, y: int) -> Answer:
+        n = self.n
         if x == y:
             raise ValueError(f"comparison of an index with itself: {x}")
-        if not (0 <= x < self.n and 0 <= y < self.n):
-            raise ValueError(f"index out of range: ({x}, {y}) with n={self.n}")
+        if not (0 <= x < n and 0 <= y < n):
+            raise ValueError(f"index out of range: ({x}, {y}) with n={n}")
         if self.adversary is not None:
             ans = self.adversary(x, y)
-        else:
-            vx = self.instance.values[x]
-            vy = self.instance.values[y]
-            ans = Answer.LT if vx < vy else Answer.GT if vx > vy else Answer.EQ
+            self.count += 1
+            self.transcript.append((x, y, ans))
+            return ans
+        vals = self.instance.values
+        vx, vy = vals[x], vals[y]
         self.count += 1
-        self.transcript.append((x, y, ans))
-        return ans
+        return _LT if vx < vy else _GT if vx > vy else _EQ
 
 
 def realize_instance(profile, seed: int) -> Instance:
@@ -138,9 +151,7 @@ def replay_transcript(instance: Instance, transcript: Iterable) -> bool:
     return True
 
 
-# --- file formats ---------------------------------------------------------
-# instance file: one decimal rank per line
-# transcript file: x <TAB> y <TAB> {<,=,>}
+# --- file format: one decimal rank per line --------------------------------
 
 def write_instance(path, instance: Instance) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -152,25 +163,6 @@ def read_instance(path) -> Instance:
     with open(path, encoding="utf-8") as fh:
         vals = tuple(int(line) for line in fh if line.strip())
     return Instance(vals)
-
-
-def write_transcript(path, transcript: Iterable) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for x, y, ans in transcript:
-            fh.write(f"{x}\t{y}\t{ans.value}\n")
-
-
-def read_transcript(path) -> Transcript:
-    out = []
-    sym = {a.value: a for a in Answer}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            x, y, s = line.split("\t")
-            out.append((int(x), int(y), sym[s]))
-    return out
 
 
 def ceil_log2(x: int) -> int:

@@ -263,12 +263,29 @@ def cmd_duel(algo: str, n: int, profile: ClusterProfile,
 
 
 # --- sweeps ------------------------------------------------------------
+#
+# Each sweep states the least size it is defined for: the competitive
+# ratio is divided by log2(log2 n), which is 0 at n = 2; a separation row
+# needs a few-deep index i >= 1, which floor(log2(log2 n) / 2) >= 1
+# guarantees from n = 16; check-bounds draws n from [8, nmax].
+
+MIN_COMPETITIVE_N = 3
+MIN_SEPARATION_N = 16
+MIN_BOUNDS_NMAX = 8
+
+
+def _at_least(option: str, values, least: int) -> None:
+    for v in values:
+        if v < least:
+            raise ValueError(f"{option} must be at least {least}, got {v}")
+
 
 COMPETITIVE_HEADER = ["n", "profile_id", "clairvoyant_cmp", "oblivious_cmp",
                       "ratio", "ratio_over_llog"]
 
 
 def cmd_sweep_competitive(ns, reps: int, seed: int):
+    _at_least("--ns", ns, MIN_COMPETITIVE_N)
     seed = effective_seed(seed)
     rows, violations = [], []
     for n in ns:
@@ -337,6 +354,7 @@ def separation_row(n: int):
 
 
 def cmd_sweep_separation(ns):
+    _at_least("--ns", ns, MIN_SEPARATION_N)
     results = [separation_row(n) for n in ns]
     rows = [r for r, _, _ in results]
     violations = [b for _, b, _ in results if b]
@@ -378,6 +396,7 @@ def bounds_row(pid: int, seed: int, nmax: int):
 
 
 def cmd_check_bounds(count: int, nmax: int, seed: int):
+    _at_least("--nmax", [nmax], MIN_BOUNDS_NMAX)
     seed = effective_seed(seed)
     results = [bounds_row(pid, seed, nmax) for pid in range(count)]
     rows = [r for r, _ in results]

@@ -6,6 +6,11 @@ comparison, which is what lets the round-robin scheduler advance a
 branch by a single comparison per turn, and lets adversary games cut an
 opponent off after a fixed number of rounds.  Plain runners just drain
 the generator against an oracle.
+
+Merge sort and selection each run in one generator frame: their
+recursion is kept on an explicit stack, so a request does not pass
+through a ``yield from`` chain as deep as the recursion.  Both issue
+exactly the requests, in the order, of the recursive forms.
 """
 
 from __future__ import annotations
@@ -86,34 +91,50 @@ def merge_sort_gen(items, witness=None):
     two equal witness-eligible elements are present the sort always
     compares some such pair directly (they meet at the merge joining
     their two halves), so a clean run certifies distinctness.
+
+    Top-down: the halves split at n // 2 and each merge runs once both
+    of its halves are sorted, in the order a recursive sort would run
+    them.  The recursion lives on an explicit stack of [lo, hi) spans,
+    so every request leaves from this one frame.
     """
-    items = list(items)
-    n = len(items)
-    if n <= 1:
-        return ("ok", items)
-    mid = n // 2
-    left = yield from merge_sort_gen(items[:mid], witness)
-    if left[0] == "dup":
-        return left
-    right = yield from merge_sort_gen(items[mid:], witness)
-    if right[0] == "dup":
-        return right
-    lseq, rseq = left[1], right[1]
-    out = []
-    i = j = 0
-    while i < len(lseq) and j < len(rseq):
-        ans = yield (lseq[i], rseq[j])
-        if ans is EQ and (witness is None or witness(lseq[i], rseq[j])):
-            return ("dup", lseq[i], rseq[j])
-        if ans is GT:
-            out.append(rseq[j])
-            j += 1
-        else:
-            out.append(lseq[i])
-            i += 1
-    out.extend(lseq[i:])
-    out.extend(rseq[j:])
-    return ("ok", out)
+    a = list(items)
+    if len(a) <= 1:
+        return ("ok", a)
+    stack = [(0, len(a), False)]
+    while stack:
+        lo, hi, halves_sorted = stack.pop()
+        if hi - lo <= 1:
+            continue
+        mid = (lo + hi) // 2
+        if not halves_sorted:
+            stack += ((lo, hi, True), (mid, hi, False), (lo, mid, False))
+            continue
+        # merge in place: the left half is copied out, the right half is
+        # read where it lies, ahead of the write cursor k
+        left = a[lo:mid]
+        nl = mid - lo
+        i, j, k = 0, mid, lo
+        x, y = left[0], a[mid]
+        while True:
+            ans = yield (x, y)
+            if ans is GT:
+                a[k] = y
+                k += 1
+                j += 1
+                if j == hi:
+                    a[k:hi] = left[i:]
+                    break
+                y = a[j]
+            elif ans is EQ and (witness is None or witness(x, y)):
+                return ("dup", x, y)
+            else:
+                a[k] = x
+                k += 1
+                i += 1
+                if i == nl:
+                    break
+                x = left[i]
+    return ("ok", a)
 
 
 def select_gen(items, k: int):
@@ -122,37 +143,61 @@ def select_gen(items, k: int):
     Deterministic and linear; ties are resolved arbitrarily but stably,
     so with duplicates present any index of the k-th order statistic may
     come back.  Never treats EQ as special.
+
+    One frame: the levels that wait for the median of their quintet
+    medians as a pivot sit on a stack, and one binary insertion sort
+    serves both the quintets and the base case of at most 5 items.
     """
     arr = list(items)
     if not 1 <= k <= len(arr):
         raise ValueError(f"rank {k} out of range for {len(arr)} items")
+    waiting = []  # (arr, k) of each level that waits for its pivot
     while True:
         n = len(arr)
-        if n <= 5:
-            srt = yield from insertion_sort_gen(arr)
-            return srt[k - 1]
-        # pivot estimated from complete quintets only; the trailing partial
-        # group is never sorted, it just takes part in the partition below
-        medians = []
-        for g in range(0, n - n % 5, 5):
-            grp = yield from insertion_sort_gen(arr[g : g + 5])
-            medians.append(grp[2])
-        pivot = yield from select_gen(medians, (len(medians) + 1) // 2)
-        less, equal, greater = [], [pivot], []
-        for it in arr:
-            if it == pivot:
-                continue
-            ans = yield (it, pivot)
-            if ans is LT:
-                less.append(it)
-            elif ans is GT:
-                greater.append(it)
-            else:
-                equal.append(it)
-        if k <= len(less):
-            arr = less
-        elif k <= len(less) + len(equal):
-            return pivot
+        base = n <= 5
+        # sort the whole base case, or each complete quintet: the pivot is
+        # estimated from complete quintets only, and the trailing partial
+        # group just takes part in the partition below
+        picks = []
+        for g in range(0, n if base else n - n % 5, 5):
+            out = []
+            for x in arr[g : g + 5]:
+                lo, hi = 0, len(out)
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if (yield (x, out[mid])) is LT:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                out.insert(lo, x)
+            picks.append(out[k - 1] if base else out[2])
+        if not base:
+            waiting.append((arr, k))
+            arr, k = picks, (len(picks) + 1) // 2
+            continue
+        found = picks[0]
+        # the answer is the pivot of the level below it; that level either
+        # narrows to one side and carries on, or its answer is the pivot
+        while waiting:
+            arr, k = waiting.pop()
+            less, greater = [], []
+            equal = 1
+            for it in arr:
+                if it == found:
+                    continue
+                ans = yield (it, found)
+                if ans is LT:
+                    less.append(it)
+                elif ans is GT:
+                    greater.append(it)
+                else:
+                    equal += 1
+            if k <= len(less):
+                arr = less
+                break
+            if k > len(less) + equal:
+                k -= len(less) + equal
+                arr = greater
+                break
         else:
-            k -= len(less) + len(equal)
-            arr = greater
+            return found

@@ -1,4 +1,4 @@
-"""Oracle counting, realization, verification and transcript plumbing."""
+"""Oracle counting, realization, verification and transcript replay."""
 
 import math
 
@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edlab.core import (Answer, CountingOracle, Instance, Outcome,
-                        ceil_log2, floor_log2, read_instance, read_transcript,
+                        ceil_log2, floor_log2, read_instance,
                         realize_instance, replay_transcript, verify_graph,
-                        write_instance, write_transcript)
+                        write_instance)
 from edlab.profiles import ClusterProfile
 
 sizes_lists = st.lists(st.integers(min_value=1, max_value=9), min_size=1,
@@ -28,7 +28,7 @@ def test_ordered_pair_both_directions():
     assert o.count == 1
     assert o.compare(1, 0) is Answer.GT
     assert o.count == 2
-    assert o.transcript == [(0, 1, Answer.LT), (1, 0, Answer.GT)]
+    assert o.transcript is None  # instance mode records no transcript
 
 
 def test_self_and_out_of_range_comparisons_rejected():
@@ -62,6 +62,20 @@ def test_adversary_mode_uses_callback():
     assert o.compare(2, 3) is Answer.GT
     assert calls == [(2, 3)]
     assert o.transcript == [(2, 3, Answer.GT)]
+
+
+def test_adversary_mode_charges_only_answered_comparisons():
+    def hook(x, y):
+        if x == 0:
+            raise RuntimeError("no answer")
+        return Answer.LT
+
+    o = CountingOracle(adversary=hook, n=3)
+    with pytest.raises(RuntimeError):
+        o.compare(0, 1)
+    assert o.count == 0 and o.transcript == []
+    assert o.compare(1, 2) is Answer.LT
+    assert o.count == 1 and o.transcript == [(1, 2, Answer.LT)]
 
 
 def test_realize_single_pair():
@@ -129,10 +143,10 @@ def test_replay_accepts_every_real_transcript(sizes, seed, pairs):
     inst = realize_instance(ClusterProfile(sizes), seed)
     o = CountingOracle(instance=inst)
     n = len(inst)
-    for x, y in pairs:
-        if x != y and x < n and y < n:
-            o.compare(x, y)
-    assert replay_transcript(inst, o.transcript)
+    answered = [(x, y, o.compare(x, y)) for x, y in pairs
+                if x != y and x < n and y < n]
+    assert o.count == len(answered) and o.transcript is None
+    assert replay_transcript(inst, answered)
 
 
 def test_instance_file_round_trip(tmp_path):
@@ -140,15 +154,6 @@ def test_instance_file_round_trip(tmp_path):
     p = tmp_path / "inst"
     write_instance(p, inst)
     assert read_instance(p) == inst
-
-
-def test_transcript_file_round_trip(tmp_path):
-    inst = realize_instance(ClusterProfile([2, 1, 1]), seed=1)
-    o = CountingOracle(instance=inst)
-    o.compare(0, 1), o.compare(2, 3), o.compare(3, 1)
-    p = tmp_path / "tr"
-    write_transcript(p, o.transcript)
-    assert read_transcript(p) == o.transcript
 
 
 def test_outcome_labels():

@@ -228,6 +228,12 @@ BAD_INPUT_FILES = {
      "--profile", "other.prof"],
     ["si", "run", "--algo", "clairvoyant", "--input", "ok.si"],
     ["sweep-competitive", "--ns", "64,x"],
+    ["sweep-competitive", "--ns", "2"],
+    ["sweep-competitive", "--ns", "64,1"],
+    ["sweep-separation", "--ns", "2"],
+    ["sweep-separation", "--ns", "1"],
+    ["sweep-separation", "--ns", "15"],
+    ["check-bounds", "--nmax", "5"],
 ])
 def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
