@@ -174,8 +174,8 @@ def select_gen(items, k: int):
             arr, k = picks, (len(picks) + 1) // 2
             continue
         found = picks[0]
-        # the answer is the pivot of the level below it; that level either
-        # narrows to one side and carries on, or its answer is the pivot
+        # an answer is the pivot of the innermost waiting level, which
+        # either narrows to one side and carries on or answers with it
         while waiting:
             arr, k = waiting.pop()
             less, greater = [], []
