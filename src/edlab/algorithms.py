@@ -27,11 +27,14 @@ def block_sorting_gen(items, k: int, stats: Optional[dict] = None):
 
     While at least 2k items remain, the first k are merge sorted and
     discarded; any EQ is a witness.  The remainder (size < 2k) gets one
-    final sort.  stats["iterations"] counts started sort phases.
+    final sort.  stats["iterations"] counts started sort phases.  A
+    range is only sliced, so it is used as it is; other iterables are
+    copied to a list first.
     """
     if k < 1:
         raise ValueError("block size must be >= 1")
-    items = list(items)
+    if not isinstance(items, range):
+        items = list(items)
     start = iters = 0  # items[start:] remain
     while len(items) - start >= 2 * k:
         iters += 1
@@ -53,10 +56,12 @@ def block_sorting_gen(items, k: int, stats: Optional[dict] = None):
 def _median_rec(items, L, C, st, memo, limit):
     """Partition at the lower median and recurse on both strict sides.
 
-    Calls below L elements are abandoned, not sorted; their mass is
-    what the cost analysis charges, and once it reaches C the whole
-    recursion aborts.  Partitions at recursion paths shorter than
-    `limit` are kept in `memo` and replayed without oracle charge.
+    Returns (Outcome.DUPLICATE, witness) on the first EQ against a
+    pivot, else (Outcome.GAVE_UP, None).  Calls below L elements are
+    abandoned, not sorted; their mass is what the cost analysis charges,
+    and once it reaches C the whole recursion gives up.  Partitions at
+    recursion paths shorter than `limit` are kept in `memo` and replayed
+    without oracle charge.
 
     Depth first on an explicit stack: a call pushes its greater side
     and then its less side, so calls run in the recursive order and a
@@ -70,7 +75,7 @@ def _median_rec(items, L, C, st, memo, limit):
                 st["small_calls"] += 1
                 st["small_mass"] += len(items)
                 if st["small_mass"] >= C:
-                    return "abort"
+                    return Outcome.GAVE_UP, None
             continue
         if len(path) < limit and path in memo:
             med, less, greater = memo[path]  # replay: no oracle charge
@@ -82,13 +87,13 @@ def _median_rec(items, L, C, st, memo, limit):
                     continue
                 a = yield (it, med)
                 if a is EQ:
-                    return it, med
+                    return Outcome.DUPLICATE, (it, med)
                 (less if a is LT else greater).append(it)
             if len(path) < limit:
                 memo[path] = (med, less, greater)
         stack.append((greater, path + "1"))
         stack.append((less, path + "0"))
-    return None
+    return Outcome.GAVE_UP, None
 
 
 def median_recursion_gen(items, L: int, stats: Optional[dict] = None):
@@ -100,16 +105,17 @@ def median_recursion_gen(items, L: int, stats: Optional[dict] = None):
     answer identically against every pivot and travel together until
     one of them becomes the pivot.  Gives up once every pending call is
     smaller than L.
+
+    A plain function that returns the `_median_rec` generator, so a
+    request leaves from that one frame; an L below 1 therefore raises
+    here, when this is called, not at the first request.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
     st = stats if stats is not None else {}
     st.setdefault("small_calls", 0)
     st.setdefault("small_mass", 0)
-    hit = yield from _median_rec(list(items), L, math.inf, st, {}, 0)
-    if hit is not None:
-        return Outcome.DUPLICATE, hit
-    return Outcome.GAVE_UP, None
+    return _median_rec(list(items), L, math.inf, st, {}, 0)
 
 
 def doubling_gen(n: int):
@@ -143,7 +149,7 @@ def budgeted_median_branch_gen(n: int, i: int):
     paths mean equal subproblems) and replays are free.  The budget is
     per iteration, fresh after each doubling.
     """
-    items = list(range(n))
+    items = range(n)  # only iterated and handed to select_gen, never changed
     cap = 2 ** ceil_log2(max(2, n))
     memo = {}
     C = 1
@@ -153,8 +159,8 @@ def budgeted_median_branch_gen(n: int, i: int):
         memo = {p: v for p, v in memo.items() if len(p) < limit}
         st = {"small_calls": 0, "small_mass": 0}
         res = yield from _median_rec(items, L, C, st, memo, limit)
-        if res is not None and res != "abort":
-            return Outcome.DUPLICATE, res
+        if res[0] is Outcome.DUPLICATE:
+            return res
         C *= 2
     return Outcome.GAVE_UP, None
 

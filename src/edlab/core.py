@@ -78,6 +78,9 @@ class CountingOracle:
     ``transcript`` is None.
     """
 
+    __slots__ = ("instance", "adversary", "n", "count", "transcript",
+                 "_values")
+
     def __init__(self, instance: Optional[Instance] = None,
                  adversary: Optional[Callable[[int, int], Answer]] = None,
                  n: Optional[int] = None):
@@ -91,6 +94,9 @@ class CountingOracle:
         self.count = 0
         self.transcript: Optional[Transcript] = (
             [] if adversary is not None else None)
+        # the instance's values, or None in adversary mode: compare picks
+        # its mode with this one load
+        self._values = instance.values if instance is not None else None
 
     def compare(self, x: int, y: int) -> Answer:
         n = self.n
@@ -98,12 +104,12 @@ class CountingOracle:
             raise ValueError(f"comparison of an index with itself: {x}")
         if not (0 <= x < n and 0 <= y < n):
             raise ValueError(f"index out of range: ({x}, {y}) with n={n}")
-        if self.adversary is not None:
+        vals = self._values
+        if vals is None:
             ans = self.adversary(x, y)
             self.count += 1
             self.transcript.append((x, y, ans))
             return ans
-        vals = self.instance.values
         vx, vy = vals[x], vals[y]
         self.count += 1
         return _LT if vx < vy else _GT if vx > vy else _EQ
@@ -159,10 +165,24 @@ def write_instance(path, instance: Instance) -> None:
             fh.write(f"{v}\n")
 
 
-def read_instance(path) -> Instance:
+def parse_int_line(path, lineno: int, text: str) -> int:
+    """``int(text)``, or a ValueError that names ``path:lineno``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: expected an integer, "
+                         f"got {text.strip()!r}") from None
+
+
+def read_int_lines(path) -> list:
+    """The integers of a file with one per line; blank lines are skipped."""
     with open(path, encoding="utf-8") as fh:
-        vals = tuple(int(line) for line in fh if line.strip())
-    return Instance(vals)
+        return [parse_int_line(path, no, line)
+                for no, line in enumerate(fh, 1) if line.strip()]
+
+
+def read_instance(path) -> Instance:
+    return Instance(tuple(read_int_lines(path)))
 
 
 def ceil_log2(x: int) -> int:

@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Answer
+from .core import Answer, read_int_lines
 from .sortsel import drive_with, select_gen
 
 
@@ -354,6 +354,4 @@ def write_profile(path, profile: ClusterProfile) -> None:
 
 
 def read_profile(path) -> ClusterProfile:
-    with open(path, encoding="utf-8") as fh:
-        sizes = [int(line) for line in fh if line.strip()]
-    return ClusterProfile(sizes)
+    return ClusterProfile(read_int_lines(path))

@@ -11,7 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import CountingOracle, Instance, Outcome, RunReport
+from .core import (CountingOracle, Instance, Outcome, RunReport,
+                   parse_int_line)
 from .sortsel import EQ, drive, merge_sort_gen, select_gen
 
 
@@ -235,7 +236,7 @@ def read_si_instance(path) -> SIInstance:
     a_vals, b_vals = [], []
     target = None
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -245,6 +246,7 @@ def read_si_instance(path) -> SIInstance:
                 target = b_vals
             else:
                 if target is None:
-                    raise ValueError("values before any section header")
-                target.append(int(line))
+                    raise ValueError(
+                        f"{path}:{no}: values before any section header")
+                target.append(parse_int_line(path, no, line))
     return SIInstance(tuple(a_vals), tuple(b_vals))

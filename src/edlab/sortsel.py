@@ -11,6 +11,14 @@ Merge sort and selection each run in one generator frame: their
 recursion is kept on an explicit stack, so a request does not pass
 through a ``yield from`` chain as deep as the recursion.  Both issue
 exactly the requests, in the order, of the recursive forms.
+
+Driver contract.  Every request is an ``(x, y)`` pair.  A driver binds
+the generator's ``send`` once per run and unpacks each request into two
+arguments, so the per-comparison call is a plain two-argument call.  It
+looks up ``oracle.compare`` afresh on every request, though, and must
+keep doing so: a caller may swap ``CountingOracle.compare`` on the class
+in the middle of a run (the benchmark's tracer does, to time the first
+comparison of a run), and the swap has to reach the next request.
 """
 
 from __future__ import annotations
@@ -24,24 +32,26 @@ LT, EQ, GT = Answer.LT, Answer.EQ, Answer.GT
 
 def drive(gen, oracle: CountingOracle):
     """Run a comparison generator to completion against an oracle."""
+    send = gen.send
     ans = None
     while True:
         try:
-            req = gen.send(ans)
+            x, y = send(ans)
         except StopIteration as stop:
             return stop.value
-        ans = oracle.compare(*req)
+        ans = oracle.compare(x, y)
 
 
 def drive_with(gen, cmp3: Callable[[int, int], Answer]):
     """Like drive() but against a bare three-way comparison callable."""
+    send = gen.send
     ans = None
     while True:
         try:
-            req = gen.send(ans)
+            x, y = send(ans)
         except StopIteration as stop:
             return stop.value
-        ans = cmp3(*req)
+        ans = cmp3(x, y)
 
 
 def drive_bounded(gen, oracle: CountingOracle, budget: int):
@@ -50,33 +60,18 @@ def drive_bounded(gen, oracle: CountingOracle, budget: int):
     Returns (result, finished): result is the generator's return value
     when it finished within budget, else None.
     """
+    send = gen.send
     ans = None
     used = 0
     while True:
         try:
-            req = gen.send(ans)
+            x, y = send(ans)
         except StopIteration as stop:
             return stop.value, True
         if used >= budget:
             return None, False
-        ans = oracle.compare(*req)
+        ans = oracle.compare(x, y)
         used += 1
-
-
-def insertion_sort_gen(items):
-    """Binary-insertion sort; ties keep insertion order.  Returns the list."""
-    out = []
-    for x in items:
-        lo, hi = 0, len(out)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            ans = yield (x, out[mid])
-            if ans is LT:
-                hi = mid
-            else:
-                lo = mid + 1
-        out.insert(lo, x)
-    return out
 
 
 def merge_sort_gen(items, witness=None):
@@ -144,9 +139,10 @@ def select_gen(items, k: int):
 
     One frame: the levels that wait for the median of their quintet
     medians as a pivot sit on a stack, and one binary insertion sort
-    serves both the quintets and the base case of at most 5 items.
+    serves both the quintets and the base case of at most 5 items.  A
+    range is only sliced and iterated, so it is used without a copy.
     """
-    arr = list(items)
+    arr = items if isinstance(items, range) else list(items)
     if not 1 <= k <= len(arr):
         raise ValueError(f"rank {k} out of range for {len(arr)} items")
     waiting = []  # (arr, k) of each level that waits for its pivot

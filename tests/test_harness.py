@@ -211,10 +211,17 @@ BAD_INPUT_FILES = {
     "empty.inst": "",
     "garbled.inst": "1\nx\n",
     "garbled.prof": "3\nabc\n",
+    "garbled.si": "A:\n1\n\nB:\nzz\n",
     "early.si": "1\nA:\n1\nB:\n1\n",
     "ok.si": "A:\n1\nB:\n1\n",
     "other.prof": "2\n2\n",
 }
+
+
+# a garbled file's message names the file and the line
+GARBLED_AT = {"garbled.inst": "garbled.inst:2:",
+              "garbled.prof": "garbled.prof:2:",
+              "garbled.si": "garbled.si:5:"}
 
 
 @pytest.mark.parametrize("args", [
@@ -223,6 +230,7 @@ BAD_INPUT_FILES = {
     ["run", "--algo", "block", "--input", "empty.inst"],
     ["run", "--algo", "block", "--input", "garbled.inst"],
     ["profile", "stats", "garbled.prof"],
+    ["si", "run", "--algo", "doubling", "--input", "garbled.si"],
     ["si", "run", "--algo", "doubling", "--input", "early.si"],
     ["run", "--algo", "clairvoyant", "--input", "pair.inst",
      "--profile", "other.prof"],
@@ -244,6 +252,9 @@ def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
     assert isinstance(res.exception, SystemExit)  # no traceback
     lines = res.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: ")
+    where = GARBLED_AT.get(args[-1])
+    if where is not None:
+        assert lines[0].startswith(f"Error: {where} ")
 
 
 def test_cli_gen_requires_exactly_one_mode(tmp_path):

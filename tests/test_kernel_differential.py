@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bruteforce import (brute_insertion_sort_gen, brute_merge_sort_gen,
-                        brute_select_gen, recorded_run as run)
-from edlab.sortsel import insertion_sort_gen, merge_sort_gen, select_gen
+from bruteforce import (brute_merge_sort_gen, brute_select_gen,
+                        recorded_run as run)
+from edlab.sortsel import merge_sort_gen, select_gen
 
 
 @st.composite
@@ -71,16 +71,6 @@ def test_select_matches_reference(values, data):
         for k in ranks:
             got = run(select_gen(items, k), values)
             assert got == run(brute_select_gen(items, k), values)
-
-
-@settings(max_examples=100, deadline=None)
-@given(values=instances(max_n=12), data=st.data())
-@example(values=[0], data=None)
-@example(values=[1, 1], data=None)
-def test_insertion_sort_matches_reference(values, data):
-    for items in _cases(values, data):
-        got = run(insertion_sort_gen(items), values)
-        assert got == run(brute_insertion_sort_gen(items), values)
 
 
 @pytest.mark.parametrize("k", [0, 4])
