@@ -230,7 +230,6 @@ GARBLED_AT = {"garbled.inst": "garbled.inst:2:",
     ["run", "--algo", "block", "--input", "empty.inst"],
     ["run", "--algo", "block", "--input", "garbled.inst"],
     ["profile", "stats", "garbled.prof"],
-    ["si", "run", "--algo", "doubling", "--input", "garbled.si"],
     ["si", "run", "--algo", "doubling", "--input", "early.si"],
     ["run", "--algo", "clairvoyant", "--input", "pair.inst",
      "--profile", "other.prof"],
@@ -242,6 +241,7 @@ GARBLED_AT = {"garbled.inst": "garbled.inst:2:",
     ["sweep-separation", "--ns", "1"],
     ["sweep-separation", "--ns", "15"],
     ["check-bounds", "--nmax", "5"],
+    ["si", "run", "--algo", "doubling", "--input", "garbled.si"],
 ])
 def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
