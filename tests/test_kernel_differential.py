@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bruteforce import (brute_merge_sort_gen, brute_select_gen,
-                        recorded_run as run)
+from bruteforce import (brute_insertion_sort_gen, brute_merge_sort_gen,
+                        brute_select_gen, recorded_run as run)
 from edlab.sortsel import merge_sort_gen, select_gen
 
 
@@ -71,6 +71,22 @@ def test_select_matches_reference(values, data):
         for k in ranks:
             got = run(select_gen(items, k), values)
             assert got == run(brute_select_gen(items, k), values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=instances(max_n=5), data=st.data())
+@example(values=[0], data=None)
+@example(values=[3, 3], data=None)
+@example(values=[4, 1, 4, 1, 4], data=None)
+@example(values=[4, 3, 2, 1, 0], data=None)
+def test_insertion_sort_matches_reference(values, data):
+    # select_gen's base case (n <= 5) is one binary insertion sort of all
+    # items, read at rank k: it must ask what the reference sort asks
+    # and answer with its k-th item
+    for items in _cases(values, data):
+        srt, requests = run(brute_insertion_sort_gen(items), values)
+        for k in range(1, len(items) + 1):
+            assert run(select_gen(items, k), values) == (srt[k - 1], requests)
 
 
 @pytest.mark.parametrize("k", [0, 4])

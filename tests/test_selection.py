@@ -73,6 +73,27 @@ def test_select_cost_linear(n, seed):
     assert o.count <= 10 * n + 50
 
 
+def base_case_order(vals):
+    """The order select_gen's base case sorts n <= 5 items into: one
+    binary insertion sort of all items, read back at every rank."""
+    n = len(vals)
+    return [run_on(vals, select_gen(range(n), k))[0] for k in range(1, n + 1)]
+
+
+@given(vals=st.lists(st.integers(min_value=0, max_value=50), min_size=1,
+                     max_size=5))
+def test_insertion_sort_orders_by_value(vals):
+    res = base_case_order(vals)
+    assert sorted(res) == list(range(len(vals)))
+    assert [vals[i] for i in res] == sorted(vals)
+
+
+def test_insertion_sort_is_stable_on_ties():
+    vals = [4, 1, 4, 1, 4]
+    res = base_case_order(vals)
+    assert res == [1, 3, 0, 2, 4]  # equal values keep insertion order
+
+
 def test_select_base_case_matches_reference_insertion_sort():
     # n <= 5 is select_gen's base case: one binary insertion sort of all
     # items, read at rank k.  Every value pattern over range(n) covers
