@@ -27,14 +27,12 @@ def block_sorting_gen(items, k: int, stats: Optional[dict] = None):
 
     While at least 2k items remain, the first k are merge sorted and
     discarded; any EQ is a witness.  The remainder (size < 2k) gets one
-    final sort.  stats["iterations"] counts started sort phases.  A
-    range is only sliced, so it is used as it is; other iterables are
-    copied to a list first.
+    final sort.  stats["iterations"] counts started sort phases.
+    ``items`` is a sequence (a list or a range) that is only measured
+    and sliced, never modified, so it is used without a copy.
     """
     if k < 1:
         raise ValueError("block size must be >= 1")
-    if not isinstance(items, range):
-        items = list(items)
     start = iters = 0  # items[start:] remain
     while len(items) - start >= 2 * k:
         iters += 1

@@ -139,10 +139,11 @@ def select_gen(items, k: int):
 
     One frame: the levels that wait for the median of their quintet
     medians as a pivot sit on a stack, and one binary insertion sort
-    serves both the quintets and the base case of at most 5 items.  A
-    range is only sliced and iterated, so it is used without a copy.
+    serves both the quintets and the base case of at most 5 items.
+    ``items`` is a sequence (a list or a range) that is only measured,
+    sliced and iterated, never modified, so it is used without a copy.
     """
-    arr = items if isinstance(items, range) else list(items)
+    arr = items
     if not 1 <= k <= len(arr):
         raise ValueError(f"rank {k} out of range for {len(arr)} items")
     waiting = []  # (arr, k) of each level that waits for its pivot

@@ -3,6 +3,8 @@ recursive kernels kept verbatim in bruteforce.py.  Requests and results
 must agree exactly, including on n = 1 and 2, all-distinct inputs,
 duplicate-heavy inputs and the cross witness set intersection uses."""
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -73,20 +75,19 @@ def test_select_matches_reference(values, data):
             assert got == run(brute_select_gen(items, k), values)
 
 
-@settings(max_examples=200, deadline=None)
-@given(values=instances(max_n=5), data=st.data())
-@example(values=[0], data=None)
-@example(values=[3, 3], data=None)
-@example(values=[4, 1, 4, 1, 4], data=None)
-@example(values=[4, 3, 2, 1, 0], data=None)
-def test_insertion_sort_matches_reference(values, data):
+def test_insertion_sort_matches_reference():
     # select_gen's base case (n <= 5) is one binary insertion sort of all
     # items, read at rank k: it must ask what the reference sort asks
-    # and answer with its k-th item
-    for items in _cases(values, data):
-        srt, requests = run(brute_insertion_sort_gen(items), values)
-        for k in range(1, len(items) + 1):
-            assert run(select_gen(items, k), values) == (srt[k - 1], requests)
+    # and answer with its k-th item.  Every value pattern over range(n)
+    # covers the distinct inputs and every way to tie, and with it the
+    # order in which ties are inserted.
+    for n in range(1, 6):
+        for values in itertools.product(range(n), repeat=n):
+            for items in (list(range(n)), list(range(n))[::-1]):
+                srt, requests = run(brute_insertion_sort_gen(items), values)
+                for k in range(1, n + 1):
+                    assert (run(select_gen(items, k), values)
+                            == (srt[k - 1], requests))
 
 
 @pytest.mark.parametrize("k", [0, 4])

@@ -1,6 +1,5 @@
 """Suspendable sort/select kernels: correctness, costs, budget semantics."""
 
-import itertools
 import math
 import random
 
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import brute_select_gen, recorded_run
 from edlab.core import Answer, CountingOracle, Instance
 from edlab.sortsel import (drive, drive_bounded, drive_with, merge_sort_gen,
                            select_gen)
@@ -92,24 +90,6 @@ def test_insertion_sort_is_stable_on_ties():
     vals = [4, 1, 4, 1, 4]
     res = base_case_order(vals)
     assert res == [1, 3, 0, 2, 4]  # equal values keep insertion order
-
-
-def test_select_base_case_matches_reference_insertion_sort():
-    # n <= 5 is select_gen's base case: one binary insertion sort of all
-    # items, read at rank k.  Every value pattern over range(n) covers
-    # the distinct inputs and every way to tie, and with it the order in
-    # which ties are inserted.
-    for n in range(1, 6):
-        for values in itertools.product(range(n), repeat=n):
-            for items in (list(range(n)), list(range(n))[::-1]):
-                for k in range(1, n + 1):
-                    got = recorded_run(select_gen(items, k), values)
-                    assert got == recorded_run(brute_select_gen(items, k),
-                                               values)
-    # a tie resolved by insertion order: the later of two equal items
-    # sorts after the earlier one
-    assert recorded_run(select_gen([0, 1, 2], 2), (4, 4, 1))[0] == 0
-    assert recorded_run(select_gen([1, 0, 2], 2), (4, 4, 1))[0] == 1
 
 
 def test_select_rank_out_of_range():
