@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Optional
 
+from .algorithms import doubling_gen
 from .core import Answer, CountingOracle, Instance, Outcome
 from .profiles import ClusterProfile, derive_reduced
-from .setint import SIInstance, bipartite_profile_of, si_cube_root, si_family
+from .setint import SIInstance, bipartite_profile_of, si_family, si_shape
 from .sortsel import drive_bounded
 
 LT, EQ, GT = Answer.LT, Answer.EQ, Answer.GT
@@ -353,7 +354,6 @@ def order_game(n: int):
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    from .algorithms import doubling_gen
     state = play_game(doubling_gen, n, int(n * math.log2(n) / 8))
     roots = [i for i in range(n) if state.positions[i] == ""]
     if len(roots) < 2:
@@ -381,13 +381,12 @@ class SIAdversary:
     """
 
     def __init__(self, n: int):
-        s = si_cube_root(n)
+        s, self.big = si_shape(n)
         self.n = n
         self.s = s
         self.l = round(math.log2(n)) // 3
         self.rounds_budget = n * self.l // 2
         self.depth_leaf = self.rounds_budget + self.l + 2
-        self.big = n - s * (s + 1) // 2
         leaves = ["0" * self.depth_leaf]
         self.a_cluster = [0] * self.big
         for j in range(1, s + 1):

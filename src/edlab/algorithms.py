@@ -57,17 +57,21 @@ def _median_rec(items, L, C, st, memo, limit):
     Returns (Outcome.DUPLICATE, witness) on the first EQ against a
     pivot, else (Outcome.GAVE_UP, None).  Calls below L elements are
     abandoned, not sorted; their mass is what the cost analysis charges,
-    and once it reaches C the whole recursion gives up.  Partitions at
-    recursion paths shorter than `limit` are kept in `memo` and replayed
-    without oracle charge.
+    and once it reaches C the whole recursion gives up.
 
     Depth first on an explicit stack: a call pushes its greater side
-    and then its less side, so calls run in the recursive order and a
-    path is the string of 0 (less) and 1 (greater) steps from the root.
+    and then its less side, so calls run in the recursive order and the
+    first ones form the all-less path from the root.  `memo` lists
+    (median, less, greater) along that path by depth: a call at depth
+    < len(memo) is replayed without oracle charge, one at depth <
+    `limit` is stored.  `depth` counts the calls run: the depth while
+    the path lasts, and after it at least the path's length, which is
+    at least `limit` (proof in budgeted_median_branch_gen).
     """
-    stack = [(items, "")]
+    stack = [items]
+    depth = 0
     while stack:
-        items, path = stack.pop()
+        items = stack.pop()
         if len(items) < L:
             if items:
                 st["small_calls"] += 1
@@ -75,8 +79,8 @@ def _median_rec(items, L, C, st, memo, limit):
                 if st["small_mass"] >= C:
                     return Outcome.GAVE_UP, None
             continue
-        if len(path) < limit and path in memo:
-            med, less, greater = memo[path]  # replay: no oracle charge
+        if depth < len(memo):
+            med, less, greater = memo[depth]  # replay: no oracle charge
         else:
             med = yield from select_gen(items, (len(items) + 1) // 2)
             less, greater = [], []
@@ -87,10 +91,11 @@ def _median_rec(items, L, C, st, memo, limit):
                 if a is EQ:
                     return Outcome.DUPLICATE, (it, med)
                 (less if a is LT else greater).append(it)
-            if len(path) < limit:
-                memo[path] = (med, less, greater)
-        stack.append((greater, path + "1"))
-        stack.append((less, path + "0"))
+            if depth < limit:
+                memo.append((med, less, greater))
+        depth += 1
+        stack.append(greater)
+        stack.append(less)
     return Outcome.GAVE_UP, None
 
 
@@ -113,7 +118,7 @@ def median_recursion_gen(items, L: int, stats: Optional[dict] = None):
     st = stats if stats is not None else {}
     st.setdefault("small_calls", 0)
     st.setdefault("small_mass", 0)
-    return _median_rec(list(items), L, math.inf, st, {}, 0)
+    return _median_rec(list(items), L, math.inf, st, [], 0)
 
 
 def doubling_gen(n: int):
@@ -141,20 +146,35 @@ def budgeted_median_branch_gen(n: int, i: int):
     """One parallel branch: doubling small-call budget C, L = max(2, C/2^i).
 
     Each C-iteration reruns median recursion until C elements have
-    landed in abandoned small calls, then doubles C.  The top
-    floor(log2(n/C)) recursion levels are memoized across iterations
-    (keyed by recursion path; re-execution is deterministic, so equal
-    paths mean equal subproblems) and replays are free.  The budget is
-    per iteration, fresh after each doubling.
+    landed in abandoned small calls, then doubles C; the budget is
+    fresh after each doubling.  The top limit = floor(log2(n/C)) levels
+    of the all-less path are memoized across iterations and replays are
+    free: re-execution is deterministic, so the path is the same in
+    every iteration, and `del memo[limit:]` keeps the levels still used
+    as limit falls.
+
+    That path is all the memo needs: no greater side at depth < limit
+    ever runs, because small mass reaches C first.
+    - A tie with a pivot ends the run at once, so a call of size m
+      splits into (m+1)//2 - 1 and m - (m+1)//2 elements as for distinct
+      values, and the all-less call at depth d has size s_d with
+      s_d + 1 = floor((n+1)/2^d).  As 2^limit <= n/C, the one at depth
+      limit-1 has s >= 2C - 1.
+    - With L >= 2 every call of size 1 is small, and a subtree of size
+      m puts at least 2^(floor(log2(m+1)) - 1) elements into small
+      calls.  C is a power of two, so that call's subtree puts at least
+      C there; a call on the path that is itself small holds >= C.
+    - That subtree runs before the first greater side at depth < limit,
+      the greater child of the call at depth limit-2.
     """
     items = range(n)  # only iterated and handed to select_gen, never changed
     cap = 2 ** ceil_log2(max(2, n))
-    memo = {}
+    memo = []
     C = 1
     while C <= cap:
         L = max(2, C >> i)
         limit = max(0, (n // C).bit_length() - 1) if C <= n else 0
-        memo = {p: v for p, v in memo.items() if len(p) < limit}
+        del memo[limit:]
         st = {"small_calls": 0, "small_mass": 0}
         res = yield from _median_rec(items, L, C, st, memo, limit)
         if res[0] is Outcome.DUPLICATE:

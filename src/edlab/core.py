@@ -175,14 +175,18 @@ def parse_int_line(path, lineno: int, text: str) -> int:
 
 
 def read_int_lines(path) -> list:
-    """The integers of a file with one per line; blank lines are skipped."""
+    """(line number, integer) for each non-blank line of a file with one
+    integer per line; a file with none is an error that names it."""
     with open(path, encoding="utf-8") as fh:
-        return [parse_int_line(path, no, line)
+        rows = [(no, parse_int_line(path, no, line))
                 for no, line in enumerate(fh, 1) if line.strip()]
+    if not rows:
+        raise ValueError(f"{path}: no values in file")
+    return rows
 
 
 def read_instance(path) -> Instance:
-    return Instance(tuple(read_int_lines(path)))
+    return Instance(tuple(v for _, v in read_int_lines(path)))
 
 
 def ceil_log2(x: int) -> int:
@@ -190,9 +194,3 @@ def ceil_log2(x: int) -> int:
     if x < 1:
         raise ValueError("ceil_log2 needs x >= 1")
     return (x - 1).bit_length()
-
-
-def floor_log2(x: int) -> int:
-    if x < 1:
-        raise ValueError("floor_log2 needs x >= 1")
-    return x.bit_length() - 1

@@ -111,28 +111,29 @@ class ParameterSelection:
     approx_objective: float
 
 
-def _l1_candidates(profile: ClusterProfile):
-    """Piece representatives for minimizing n + C*log2(C/L) over L >= 2.
+def _clamped_candidates(profile: ClusterProfile, clamp: int):
+    """Piece representatives (C, L) for minimizing C*log2(C/(clamp*L))
+    over 2 <= L <= max size, which are the L >= 2 with C(L) < n.
 
     Within a piece C is constant and the term is non-increasing in L, so
-    the piece minimum sits at the right end, or at L = C where the log
-    clamps to zero; ties must resolve to the smallest L, matching a full
-    scan.
+    the piece minimum sits at the right end, or at L = ceil(C/clamp)
+    where the log clamps to zero; ties must resolve to the smallest L,
+    matching a full scan.  The last piece starts past the largest size,
+    where C = n, so it is never walked.
     """
-    smax = profile.max_size()
     starts = profile.piece_starts()
-    for idx, lo in enumerate(starts):
-        hi = starts[idx + 1] - 1 if idx + 1 < len(starts) else smax
-        lo2, hi2 = max(lo, 2), min(hi, smax)
+    for lo, nxt in zip(starts, starts[1:]):
+        lo2, hi2 = max(lo, 2), nxt - 1
         if lo2 > hi2:
             continue
         C = profile.c(lo2)
-        if C <= lo2:
+        zero = -(-C // clamp)  # first L with C <= clamp*L
+        if zero <= lo2:
             yield C, lo2
         else:
             yield C, hi2
-            if C <= hi2:
-                yield C, C
+            if zero <= hi2:
+                yield C, zero
 
 
 def select_L1(profile: ClusterProfile) -> Optional[tuple[int, float]]:
@@ -141,11 +142,9 @@ def select_L1(profile: ClusterProfile) -> Optional[tuple[int, float]]:
     Returns (L1, bound1) or None when no L >= 2 has C(L) < n (the
     all-singleton case).  Ties go to the smaller L.
     """
-    if profile.max_size() < 2:
-        return None
     n = profile.n
     best = None
-    for C, L in _l1_candidates(profile):
+    for C, L in _clamped_candidates(profile, 1):
         val = bound1_value(n, C, L)
         if best is None or val < best[1] or (val == best[1] and L < best[0]):
             best = (L, val)
@@ -264,29 +263,8 @@ def lower_bound_median(profile: ClusterProfile) -> float:
     Rounds below this budget leave Median Recursion without a duplicate
     on some isomorphic instance.
     """
-    if profile.max_size() < 2:
-        return 0.0
-    smax = profile.max_size()
-    starts = profile.piece_starts()
-    best = None
-    for idx, lo in enumerate(starts):
-        hi = starts[idx + 1] - 1 if idx + 1 < len(starts) else smax
-        lo2, hi2 = max(lo, 2), min(hi, smax)
-        if lo2 > hi2:
-            continue
-        C = profile.c(lo2)
-        cands = [lo2] if C == 0 else [hi2]
-        if C > 0:
-            entry = (C + 1) // 2  # first L where C/(2L) <= 1
-            if entry <= lo2:
-                cands = [lo2]
-            elif entry <= hi2:
-                cands.append(entry)
-        for L in cands:
-            val = median_bound_value(C, L)
-            if best is None or val < best:
-                best = val
-    return best if best is not None else 0.0
+    return min((median_bound_value(C, L)
+                for C, L in _clamped_candidates(profile, 2)), default=0.0)
 
 
 def lower_bound_block(profile: ClusterProfile) -> float:
@@ -354,4 +332,8 @@ def write_profile(path, profile: ClusterProfile) -> None:
 
 
 def read_profile(path) -> ClusterProfile:
-    return ClusterProfile(read_int_lines(path))
+    rows = read_int_lines(path)
+    for no, s in rows:
+        if s < 1:
+            raise ValueError(f"{path}:{no}: cluster sizes must be >= 1")
+    return ClusterProfile(s for _, s in rows)

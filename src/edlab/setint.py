@@ -70,14 +70,15 @@ def verify_bipartite(inst: SIInstance, profile: BipartiteProfile) -> bool:
     return bipartite_profile_of(inst) == profile
 
 
-def si_cube_root(n: int) -> int:
-    """The exact cube root s of a family size n = 2^(3t), t >= 1."""
+def si_shape(n: int) -> tuple[int, int]:
+    """(s, big) for a family size n = 2^(3t), t >= 1: the exact cube
+    root s and the size n - s(s+1)/2 of the big A-cluster."""
     s = round(n ** (1 / 3))
     while s ** 3 < n:
         s += 1
     if s ** 3 != n or s < 2 or s & (s - 1):
         raise ValueError("n must be 2**(3t) for integer t >= 1")
-    return s
+    return s, n - s * (s + 1) // 2
 
 
 def si_family(n: int, i: int) -> BipartiteProfile:
@@ -87,12 +88,12 @@ def si_family(n: int, i: int) -> BipartiteProfile:
     (n - n^(1/3)(n^(1/3)+1)/2, 0).  Requires n = 2^(3t) so the cube
     root is exact.
     """
-    s = si_cube_root(n)
+    s, big = si_shape(n)
     if not 1 <= i <= s:
         raise ValueError(f"i must be in 1..{s}")
     clusters = [(j, 1 if j == i else 0) for j in range(1, s + 1)]
     clusters.extend([(0, 1)] * (n - 1))
-    clusters.append((n - s * (s + 1) // 2, 0))
+    clusters.append((big, 0))
     return BipartiteProfile(clusters)
 
 
@@ -107,10 +108,8 @@ def realize_si_family(n: int, i: int, seed: int = 0,
     import random
     rng = random.Random(seed)
     prof = si_family(n, i)
-    s = round(n ** (1 / 3))
-    big = n - s * (s + 1) // 2
-    others = 1 + s + (n - 1) - 1  # clusters beyond the big one
-    ranks = list(range(1, others + 1))
+    s, big = si_shape(n)
+    ranks = list(range(1, s + n))  # one per cluster beyond the big one
     rng.shuffle(ranks)
     it = iter(ranks)
     type1_rank = {j: next(it) for j in range(1, s + 1)}

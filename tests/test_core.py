@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edlab.core import (Answer, CountingOracle, Instance, Outcome,
-                        ceil_log2, floor_log2, read_instance,
+                        ceil_log2, read_instance,
                         realize_instance, replay_transcript, verify_graph,
                         write_instance)
 from edlab.profiles import ClusterProfile
@@ -165,13 +165,9 @@ def test_outcome_labels():
 @given(st.integers(min_value=1, max_value=10**9))
 def test_log2_helpers_match_float_math(x):
     assert ceil_log2(x) == math.ceil(math.log2(x)) or 2 ** ceil_log2(x) >= x > 2 ** (ceil_log2(x) - 1)
-    assert floor_log2(x) == int(math.log2(x)) or 2 ** floor_log2(x) <= x < 2 ** (floor_log2(x) + 1)
     assert 2 ** ceil_log2(x) >= x and (x == 1 or 2 ** (ceil_log2(x) - 1) < x)
-    assert 2 ** floor_log2(x) <= x < 2 ** (floor_log2(x) + 1)
 
 
 def test_log2_helpers_reject_nonpositive():
     with pytest.raises(ValueError):
         ceil_log2(0)
-    with pytest.raises(ValueError):
-        floor_log2(0)

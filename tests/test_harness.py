@@ -215,13 +215,18 @@ BAD_INPUT_FILES = {
     "early.si": "1\nA:\n1\nB:\n1\n",
     "ok.si": "A:\n1\nB:\n1\n",
     "other.prof": "2\n2\n",
+    "zero.prof": "2\n0\n",
+    "empty.prof": "\n",
 }
 
 
-# a garbled file's message names the file and the line
-GARBLED_AT = {"garbled.inst": "garbled.inst:2:",
-              "garbled.prof": "garbled.prof:2:",
-              "garbled.si": "garbled.si:5:"}
+# a bad file's message names the file, and the line where there is one
+BAD_FILE_AT = {"garbled.inst": "garbled.inst:2:",
+               "garbled.prof": "garbled.prof:2:",
+               "garbled.si": "garbled.si:5:",
+               "empty.inst": "empty.inst:",
+               "zero.prof": "zero.prof:2:",
+               "empty.prof": "empty.prof:"}
 
 
 @pytest.mark.parametrize("args", [
@@ -242,6 +247,11 @@ GARBLED_AT = {"garbled.inst": "garbled.inst:2:",
     ["sweep-separation", "--ns", "15"],
     ["check-bounds", "--nmax", "5"],
     ["si", "run", "--algo", "doubling", "--input", "garbled.si"],
+    ["run", "--algo", "oblivious", "--input", "empty.inst"],
+    ["profile", "stats", "zero.prof"],
+    ["profile", "bounds", "zero.prof"],
+    ["profile", "stats", "empty.prof"],
+    ["profile", "bounds", "empty.prof"],
 ])
 def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -252,7 +262,7 @@ def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
     assert isinstance(res.exception, SystemExit)  # no traceback
     lines = res.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: ")
-    where = GARBLED_AT.get(args[-1])
+    where = BAD_FILE_AT.get(args[-1])
     if where is not None:
         assert lines[0].startswith(f"Error: {where} ")
 

@@ -1,4 +1,5 @@
-"""Every imported name is used: an AST scan over the package and tests."""
+"""Every imported name is used, and every private module-level name of
+the package is read: AST scans over the package and tests."""
 
 import ast
 from pathlib import Path
@@ -6,8 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "edlab").glob("*.py")) + \
-    sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "edlab").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def imported_names(tree):
@@ -39,3 +40,35 @@ def test_every_import_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = sorted(set(imported_names(tree)) - read_names(tree))
     assert unused == [], f"{path.name} imports {unused} without reading them"
+
+
+def private_definitions(tree):
+    """The _names a module defines at its top level (dunders excluded)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            tops = (node.targets if isinstance(node, ast.Assign)
+                    else [node.target])
+            targets = [n.id for top in tops for n in ast.walk(top)
+                       if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (t for t in targets
+                    if t.startswith("_") and not t.startswith("__"))
+
+
+def test_every_private_helper_is_read():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in PACKAGE}
+    read = set()
+    for tree in trees.values():
+        read |= read_names(tree)
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute))
+    defined = [(name, helper) for name, tree in trees.items()
+               for helper in private_definitions(tree)]
+    assert defined, "the scan found no private helpers at all"
+    unread = [f"{name}:{helper}" for name, helper in defined
+              if helper not in read]
+    assert unread == [], f"private helpers never read in the package: {unread}"

@@ -2,6 +2,8 @@
 budgeted median branches against the two recursions kept as references
 in bruteforce.py.  Requests, results and stats must agree exactly."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -43,11 +45,20 @@ def test_median_recursion_matches_reference(values, data):
         assert got_stats == ref_stats
 
 
+# all distinct at n = 1000, so the memo holds up to 9 levels (Hypothesis
+# inputs stop at n = 64, where it holds at most 6)
+PERM_1000 = random.Random(1000).sample(range(1000), 1000)
+
+
 @settings(max_examples=200, deadline=None)
 @given(values=instances(max_n=64), i=st.sampled_from([1, 2, 4, 8]))
 @example(values=[0], i=1)
 @example(values=[3, 3], i=1)
 @example(values=[0, 1], i=2)
+@example(values=PERM_1000, i=1)
+@example(values=PERM_1000, i=2)
+@example(values=PERM_1000, i=4)
+@example(values=PERM_1000, i=8)
 def test_budgeted_median_branch_matches_reference(values, i):
     n = len(values)
     got = run(budgeted_median_branch_gen(n, i), values)

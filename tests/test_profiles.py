@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bruteforce import (brute_cd, brute_lower_bound_block,
@@ -65,6 +65,14 @@ def test_cd_edge_values(p):
 
 
 @given(p=profiles)
+# the log term clamps to zero exactly at a piece's lo2 or hi2: bound1
+# at L = C, the median bound at L = ceil(C/2); then the edge cases with
+# no piece at all and with a single piece
+@example(p=ClusterProfile([1, 1, 3]))           # bound1 at lo2
+@example(p=ClusterProfile([1, 1, 1, 1, 4]))     # bound1 at hi2, median at lo2
+@example(p=ClusterProfile([1] * 8 + [4]))       # median at hi2
+@example(p=ClusterProfile([1] * 5))
+@example(p=ClusterProfile([7]))
 def test_piece_scan_equals_full_scan(p):
     assert select_L1(p) == brute_select_L1(p.sizes)
     assert select_L2(p) == brute_select_L2(p.sizes)
