@@ -151,7 +151,7 @@ def replay_transcript(instance: Instance, transcript: Iterable) -> bool:
         if x == y or not (0 <= x < n and 0 <= y < n):
             return False
         vx, vy = vals[x], vals[y]
-        truth = Answer.LT if vx < vy else Answer.GT if vx > vy else Answer.EQ
+        truth = _LT if vx < vy else _GT if vx > vy else _EQ
         if truth is not ans:
             return False
     return True

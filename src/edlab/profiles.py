@@ -16,29 +16,27 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
-from .core import Answer, read_int_lines
-from .sortsel import drive_with, select_gen
+from .core import read_int_lines
+from .sortsel import EQ, GT, LT, drive_with, select_gen
 
 
 class ClusterProfile:
     """Multiset of cluster sizes with O(log m) C/D evaluation."""
 
     def __init__(self, sizes):
-        sizes = tuple(int(s) for s in sizes)
+        sizes = tuple(map(int, sizes))
         if not sizes:
             raise ValueError("profile needs at least one cluster")
-        if any(s < 1 for s in sizes):
+        if min(sizes) < 1:
             raise ValueError("cluster sizes must be >= 1")
         self.sizes = sizes
         self.m = len(sizes)
         self.n = sum(sizes)
         self._sorted = sorted(sizes)
-        pref = [0]
-        for s in self._sorted:
-            pref.append(pref[-1] + s)
-        self._prefix = pref
+        self._prefix = list(accumulate(self._sorted, initial=0))
 
     def c(self, L: int) -> int:
         """Total size of clusters strictly smaller than L."""
@@ -191,12 +189,12 @@ def approx_L2_scan(profile: ClusterProfile) -> tuple[int, float, int]:
     def cmp3(i, j):
         counter[0] += 1
         a, b = sizes[i], sizes[j]
-        return Answer.LT if a < b else Answer.GT if a > b else Answer.EQ
+        return LT if a < b else GT if a > b else EQ
 
     cur = list(range(m))
     tmin = cur[0]
     for tok in cur[1:]:
-        if cmp3(tok, tmin) is Answer.LT:
+        if cmp3(tok, tmin) is LT:
             tmin = tok
     candidates = [(sizes[tmin], 0, m)]  # (t_1, C, D): nothing sits below the min
 
@@ -214,7 +212,7 @@ def approx_L2_scan(profile: ClusterProfile) -> tuple[int, float, int]:
                 equal.append(tok)
                 continue
             a = cmp3(tok, v_tok)
-            (less if a is Answer.LT else greater if a is Answer.GT else equal).append(tok)
+            (less if a is LT else greater if a is GT else equal).append(tok)
         keep_eq = u - len(greater)
         kept = greater + equal[:keep_eq]
         shed = len(equal) - keep_eq

@@ -37,22 +37,48 @@ class SIInstance:
 
 
 class BipartiteProfile:
-    """Multiset of (a_size, b_size) cluster pairs; equality is isomorphism."""
+    """Multiset of (a_size, b_size) cluster pairs; equality is isomorphism.
+
+    Held as ``counts``, a Counter from each (a_size, b_size) shape to the
+    number of clusters of that shape, so building, comparing and hashing
+    cost one C-level pass over the pairs plus work in the number of
+    distinct shapes; nothing sorts the clusters.
+    """
 
     def __init__(self, clusters):
-        clusters = [(int(a), int(b)) for a, b in clusters]
-        if any(a < 0 or b < 0 or a + b < 1 for a, b in clusters):
+        # int() every distinct pair before any is checked, as a pass over
+        # all pairs would: a bad size is reported before a bad sign
+        shapes = Counter()
+        for (a, b), m in Counter(map(tuple, clusters)).items():
+            shapes[int(a), int(b)] += m
+        self._hold(shapes)
+
+    @classmethod
+    def _of_shapes(cls, shapes: Counter) -> BipartiteProfile:
+        """The profile with shapes[a, b] >= 1 clusters of each int shape
+        (a, b), for callers that count shapes rather than list clusters."""
+        prof = cls.__new__(cls)
+        prof._hold(shapes)
+        return prof
+
+    def _hold(self, shapes: Counter) -> None:
+        if any(a < 0 or b < 0 or a + b < 1 for a, b in shapes):
             raise ValueError("each cluster needs non-negative sizes, one positive")
-        self.clusters = clusters
-        self.a_total = sum(a for a, _ in clusters)
-        self.b_total = sum(b for _, b in clusters)
+        self.counts = shapes
+        self.a_total = sum(a * m for (a, _), m in shapes.items())
+        self.b_total = sum(b * m for (_, b), m in shapes.items())
+
+    @property
+    def clusters(self) -> list:
+        """Every (a_size, b_size) pair, one per cluster, sorted."""
+        return sorted(self.counts.elements())
 
     def __eq__(self, other):
         return (isinstance(other, BipartiteProfile)
-                and sorted(self.clusters) == sorted(other.clusters))
+                and self.counts == other.counts)
 
     def __hash__(self):
-        return hash(tuple(sorted(self.clusters)))
+        return hash(frozenset(self.counts.items()))
 
     def __repr__(self):
         return f"BipartiteProfile({self.clusters})"
@@ -61,9 +87,17 @@ class BipartiteProfile:
 def bipartite_profile_of(inst: SIInstance) -> BipartiteProfile:
     a_counts = Counter(inst.a_values)
     b_counts = Counter(inst.b_values)
-    clusters = [(a_counts.get(v, 0), b_counts.get(v, 0))
-                for v in set(a_counts) | set(b_counts)]
-    return BipartiteProfile(clusters)
+    both = a_counts.keys() & b_counts.keys()
+    a_both = list(map(a_counts.get, both))
+    b_both = list(map(b_counts.get, both))
+    # a value on one side only is an (a, 0) or (0, b) cluster, so only the
+    # values on both sides need their two counts paired into a shape
+    shapes = Counter(zip(a_both, b_both))
+    for a, m in (Counter(a_counts.values()) - Counter(a_both)).items():
+        shapes[a, 0] = m
+    for b, m in (Counter(b_counts.values()) - Counter(b_both)).items():
+        shapes[0, b] = m
+    return BipartiteProfile._of_shapes(shapes)
 
 
 def verify_bipartite(inst: SIInstance, profile: BipartiteProfile) -> bool:
@@ -91,10 +125,10 @@ def si_family(n: int, i: int) -> BipartiteProfile:
     s, big = si_shape(n)
     if not 1 <= i <= s:
         raise ValueError(f"i must be in 1..{s}")
-    clusters = [(j, 1 if j == i else 0) for j in range(1, s + 1)]
-    clusters.extend([(0, 1)] * (n - 1))
-    clusters.append((big, 0))
-    return BipartiteProfile(clusters)
+    shapes = Counter((j, int(j == i)) for j in range(1, s + 1))
+    shapes[0, 1] += n - 1
+    shapes[big, 0] += 1
+    return BipartiteProfile._of_shapes(shapes)
 
 
 def realize_si_family(n: int, i: int, seed: int = 0,
@@ -111,19 +145,17 @@ def realize_si_family(n: int, i: int, seed: int = 0,
     s, big = si_shape(n)
     ranks = list(range(1, s + n))  # one per cluster beyond the big one
     rng.shuffle(ranks)
-    it = iter(ranks)
-    type1_rank = {j: next(it) for j in range(1, s + 1)}
-    b_single_ranks = [next(it) for _ in range(n - 1)]
+    # type-1 cluster j takes ranks[j - 1]; the B-singletons take the rest
     a_vals = [0] * big
     for j in range(1, s + 1):
-        a_vals.extend([type1_rank[j]] * j)
-    b_vals = list(b_single_ranks)
+        a_vals.extend([ranks[j - 1]] * j)
+    b_vals = ranks[s:]
     rng.shuffle(a_vals)
     if partner_last:
         rng.shuffle(b_vals)
-        b_vals.append(type1_rank[i])
+        b_vals.append(ranks[i - 1])
     else:
-        b_vals.append(type1_rank[i])
+        b_vals.append(ranks[i - 1])
         rng.shuffle(b_vals)
     inst = SIInstance(tuple(a_vals), tuple(b_vals))
     assert verify_bipartite(inst, prof)
@@ -248,4 +280,7 @@ def read_si_instance(path) -> SIInstance:
                     raise ValueError(
                         f"{path}:{no}: values before any section header")
                 target.append(parse_int_line(path, no, line))
+    for name, vals in (("A", a_vals), ("B", b_vals)):
+        if not vals:
+            raise ValueError(f"{path}: no values in section {name}:")
     return SIInstance(tuple(a_vals), tuple(b_vals))

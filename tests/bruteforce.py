@@ -464,6 +464,30 @@ def recorded_run(gen, values):
     return drive(gen, oracle), [(x, y) for x, y, _ in oracle.transcript]
 
 
+# --- reference bipartite profiles -----------------------------------------
+# A set-intersection profile as a plain list of normalized (a_size, b_size)
+# pairs, one per cluster, compared by sorting both lists.  BipartiteProfile
+# keeps a multiplicity map instead and must agree with this on equality,
+# totals and which inputs it rejects.
+
+def brute_bipartite_pairs(clusters) -> list:
+    """int() of every pair, then the same check and message as the package."""
+    pairs = [(int(a), int(b)) for a, b in clusters]
+    if any(a < 0 or b < 0 or a + b < 1 for a, b in pairs):
+        raise ValueError("each cluster needs non-negative sizes, one positive")
+    return pairs
+
+
+def brute_bipartite_equal(p, q) -> bool:
+    return sorted(brute_bipartite_pairs(p)) == sorted(brute_bipartite_pairs(q))
+
+
+def brute_bipartite_profile_of(a_values, b_values) -> list:
+    """One (A count, B count) pair per distinct value of either side."""
+    return [(list(a_values).count(v), list(b_values).count(v))
+            for v in set(a_values) | set(b_values)]
+
+
 # --- reference sort/select kernels ---------------------------------------
 # The kernels as sortsel wrote them with one generator frame per
 # recursion level: merge sort recursing on both halves, selection

@@ -217,6 +217,10 @@ BAD_INPUT_FILES = {
     "other.prof": "2\n2\n",
     "zero.prof": "2\n0\n",
     "empty.prof": "\n",
+    "empty.si": "",
+    "no_b.si": "A:\n1\n",
+    "empty_a.si": "A:\nB:\n1\n",
+    "empty_b.si": "A:\n1\nB:\n\n",
 }
 
 
@@ -226,7 +230,11 @@ BAD_FILE_AT = {"garbled.inst": "garbled.inst:2:",
                "garbled.si": "garbled.si:5:",
                "empty.inst": "empty.inst:",
                "zero.prof": "zero.prof:2:",
-               "empty.prof": "empty.prof:"}
+               "empty.prof": "empty.prof:",
+               "empty.si": "empty.si:",
+               "no_b.si": "no_b.si:",
+               "empty_a.si": "empty_a.si:",
+               "empty_b.si": "empty_b.si:"}
 
 
 @pytest.mark.parametrize("args", [
@@ -252,6 +260,10 @@ BAD_FILE_AT = {"garbled.inst": "garbled.inst:2:",
     ["profile", "bounds", "zero.prof"],
     ["profile", "stats", "empty.prof"],
     ["profile", "bounds", "empty.prof"],
+    ["si", "run", "--algo", "doubling", "--input", "empty.si"],
+    ["si", "run", "--algo", "doubling", "--input", "no_b.si"],
+    ["si", "run", "--algo", "doubling", "--input", "empty_a.si"],
+    ["si", "run", "--algo", "clairvoyant", "--input", "empty_b.si"],
 ])
 def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bruteforce import (brute_bipartite_equal, brute_bipartite_pairs,
+                        brute_bipartite_profile_of)
 from edlab.core import Outcome
 from edlab.setint import (BipartiteProfile, SIInstance, bipartite_profile_of,
                           read_si_instance, realize_si_family, si_clairvoyant,
@@ -25,6 +27,66 @@ def test_bipartite_profile_validation():
         BipartiteProfile([(0, 0)])
     with pytest.raises(ValueError):
         BipartiteProfile([(-1, 2)])
+
+
+SHAPE = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
+    lambda p: p != (0, 0))
+# how a caller may spell one pair: every form int() reads the same
+SPELLINGS = (tuple, list, lambda p: (float(p[0]), p[1]),
+             lambda p: (str(p[0]), str(p[1])))
+
+
+def _spelled(pairs, data):
+    return [SPELLINGS[data.draw(st.integers(0, len(SPELLINGS) - 1))](p)
+            for p in pairs]
+
+
+def _raised(make, clusters):
+    try:
+        make(clusters)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(SHAPE, max_size=24), data=st.data())
+def test_profile_equality_matches_reference(pairs, data):
+    perm = data.draw(st.permutations(pairs))
+    bumped = list(perm)
+    if bumped:
+        bumped[data.draw(st.integers(0, len(bumped) - 1))] = data.draw(SHAPE)
+    prof = BipartiteProfile(_spelled(pairs, data))
+    assert (prof.a_total, prof.b_total) == (sum(a for a, _ in pairs),
+                                            sum(b for _, b in pairs))
+    assert prof.clusters == sorted(pairs)
+    for other in (perm, bumped):
+        spelled = _spelled(other, data)
+        same = BipartiteProfile(spelled) == prof
+        assert same == brute_bipartite_equal(spelled, pairs)
+        if same:
+            assert hash(BipartiteProfile(spelled)) == hash(prof)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(SHAPE, max_size=12), data=st.data(),
+       bad=st.sampled_from([(0, 0), (-1, 2), (3, -1), ("x", 1), (1, 2.5)]))
+def test_profile_rejects_like_reference(pairs, data, bad):
+    spelled = _spelled(pairs, data)
+    spelled.insert(data.draw(st.integers(0, len(spelled))), bad)
+    if data.draw(st.booleans()):  # a bad sign and a bad size together
+        spelled.insert(data.draw(st.integers(0, len(spelled))), [-2, 0])
+    assert (_raised(BipartiteProfile, spelled)
+            == _raised(brute_bipartite_pairs, spelled))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.lists(st.integers(0, 9), max_size=20),
+       b=st.lists(st.integers(0, 9), max_size=20))
+def test_bipartite_profile_of_matches_reference(a, b):
+    prof = bipartite_profile_of(SIInstance(tuple(a), tuple(b)))
+    assert prof.clusters == sorted(brute_bipartite_profile_of(a, b))
+    assert (prof.a_total, prof.b_total) == (len(a), len(b))
 
 
 def test_family_64_2():
