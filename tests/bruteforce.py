@@ -484,7 +484,7 @@ def brute_bipartite_equal(p, q) -> bool:
 
 def brute_bipartite_profile_of(a_values, b_values) -> list:
     """One (A count, B count) pair per distinct value of either side."""
-    return [(list(a_values).count(v), list(b_values).count(v))
+    return [(a_values.count(v), b_values.count(v))
             for v in set(a_values) | set(b_values)]
 
 
