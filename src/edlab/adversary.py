@@ -11,9 +11,9 @@ reads values off the lexicographic order of the terminal paths.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Optional
 
 from .algorithms import doubling_gen
@@ -96,7 +96,7 @@ def few_deep_index(state: AdversaryState, n: int) -> int:
     fewer than n/2^i elements at depth >= 2^i."""
     lln = math.log2(math.log2(n))
     lo, hi = int(math.floor(lln / 2)), int(math.floor(lln))
-    depths = sorted(len(p) for p in state.positions)
+    depths = sorted(map(len, state.positions))
     for i in range(lo, hi + 1):
         deep = len(depths) - bisect_left(depths, 2 ** i)
         if deep < n / 2 ** i:
@@ -114,7 +114,7 @@ class _Node:
     __slots__ = ("elems", "lo", "kids", "score")
 
     def __init__(self):
-        self.elems = []
+        self.elems = ()  # an occupied node gets its path's index list
         self.lo = 0
         self.kids = [None, None]  # the "0" and "1" children
         self.score = 0
@@ -125,12 +125,30 @@ class _Node:
                                                      c1.score if c1 else 0)
 
 
+def _by_path(positions) -> dict:
+    """Each occupied path mapped to the indices of its elements, in
+    increasing order, paths in string order.  One C-level stable sort
+    of the indices by path; each run of one path is then found by
+    binary search, so Python-level work is per distinct path."""
+    at = positions.__getitem__
+    order = sorted(range(len(positions)), key=at)
+    runs = {}
+    lo, n = 0, len(order)
+    while lo < n:
+        path = at(order[lo])
+        hi = bisect_right(order, path, lo, key=at)
+        runs[path] = order[lo:hi]
+        lo = hi
+    return runs
+
+
 def _build_trie(positions):
-    """Trie of all element paths, every node scored once.  Elements are
-    inserted by increasing index, so each node's list is index-ordered."""
+    """Trie of all occupied paths, every node scored once.  Each distinct
+    path is walked once and its node takes that path's index-ordered
+    element list."""
     root = _Node()
     made = [root]  # parents before children
-    for idx, path in enumerate(positions):
+    for path, elems in _by_path(positions).items():
         node = root
         for b in path:
             kids = node.kids
@@ -140,7 +158,7 @@ def _build_trie(positions):
                 child = kids[k] = _Node()
                 made.append(child)
             node = child
-        node.elems.append(idx)
+        node.elems = elems
     for node in reversed(made):
         node.rescore()
     return root
@@ -214,7 +232,7 @@ def pack_isomorphic(state: AdversaryState, profile: ClusterProfile):
     if profile.n != n:
         raise ValueError("profile does not cover all elements")
     sizes = profile.sizes
-    order = sorted(range(profile.m), key=lambda c: -sizes[c])
+    order = sorted(range(profile.m), key=sizes.__getitem__, reverse=True)
     big = [cid for cid in order if sizes[cid] > 1]
     chains, rest = _pack(state.positions, (sizes[cid] for cid in big))
     if len(chains) < len(big):
@@ -254,16 +272,12 @@ def reconstruct(state: AdversaryState, profile: ClusterProfile):
         raise ValueError("profile does not cover all elements")
     reduced, _, _ = derive_reduced(profile)
     sizes = profile.sizes
-    order_desc = sorted(range(profile.m), key=lambda c: -sizes[c])
+    order_desc = sorted(range(profile.m), key=sizes.__getitem__,
+                        reverse=True)
     gprime_ids = order_desc[profile.m - reduced.m:]
 
-    nodes: dict = {}
-    roots = []
-    for idx, p in enumerate(state.positions):
-        if p:
-            nodes.setdefault(p, []).append(idx)
-        else:
-            roots.append(idx)
+    nodes = _by_path(state.positions)
+    roots = nodes.pop("", [])
     pools = [nodes[p] for p in sorted(nodes, key=lambda p: (len(p), p))]
     clusters: list = [None] * profile.m
     fallback = False
@@ -282,7 +296,7 @@ def reconstruct(state: AdversaryState, profile: ClusterProfile):
         lo += t
         r += need
     leftovers = [cid for cid in range(profile.m) if clusters[cid] is None]
-    leftovers.sort(key=lambda c: -sizes[c])
+    leftovers.sort(key=sizes.__getitem__, reverse=True)
     for cid in leftovers:
         s = sizes[cid]
         if s > len(roots) - r:
@@ -321,23 +335,45 @@ def realize(state: AdversaryState, clusters) -> Instance:
     and the B-singletons after them by index therefore gives the same
     ranks.
     """
-    n = len(state.positions)
-    covered = sorted(i for c in clusters for i in c)
-    if covered != list(range(n)):
+    pos = state.positions
+    n = len(pos)
+    members = chain.from_iterable
+    if sum(map(len, clusters)) != n or n and (min(members(clusters)) < 0
+                                             or max(members(clusters)) >= n):
         raise ValueError("assignment must cover every element exactly once")
+    # n members, all in range: they cover every element exactly once iff
+    # none is missed.  Tag each element with its cluster id (the tags
+    # become values below) and look for an untagged one.  A plain loop:
+    # in CPython 3.11 it stores twice as fast as map(setitem, ...).  The
+    # same int objects serve as ids and as ranks, so no short-lived ints
+    # are scattered among the ranks the instance keeps; fresh id ints
+    # raised separation_row(65536)'s peak RSS by about 0.7 MB.
+    m = len(clusters)
+    ids = list(range(m))
+    cids = [None] * n
+    for cid, c in zip(ids, clusters):
+        for i in c:
+            cids[i] = cid
+    if None in cids:
+        raise ValueError("assignment must cover every element exactly once")
+    at = pos.__getitem__
     anchors = []
-    for c in clusters:
-        paths = [state.positions[i] for i in c]
+    for cid, c in enumerate(clusters):
+        if len(c) == 1:  # a singleton is its own anchor
+            anchors.append(at(c[0]))
+            continue
+        if not c:
+            raise ValueError(f"cluster {cid} is empty")
+        paths = set(map(at, c))  # members share paths: check each once
         anchor = max(paths, key=len)
         if not all(map(anchor.startswith, paths)):
             raise ValueError("cluster is not a chain in the tree")
-        anchors.append(anchor.rstrip("0"))
-    values = [0] * n
-    for rank, cid in enumerate(sorted(range(len(clusters)),
-                                      key=anchors.__getitem__)):
-        for i in clusters[cid]:
-            values[i] = rank
-    return Instance(tuple(values))
+        anchors.append(anchor)
+    anchors = list(map(str.rstrip, anchors, repeat("0")))
+    rank = [0] * m
+    for r, cid in zip(ids, sorted(ids, key=anchors.__getitem__)):
+        rank[cid] = r
+    return Instance(tuple(map(rank.__getitem__, cids)))
 
 
 def order_game(n: int):

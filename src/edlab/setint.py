@@ -265,16 +265,19 @@ def write_si_instance(path, inst: SIInstance) -> None:
 
 def read_si_instance(path) -> SIInstance:
     a_vals, b_vals = [], []
+    sections = {"A:": a_vals, "B:": b_vals}
     target = None
     with open(path, encoding="utf-8") as fh:
         for no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            if line == "A:":
-                target = a_vals
-            elif line == "B:":
-                target = b_vals
+            if line in sections:
+                target = sections[line]
+                if target is None:
+                    raise ValueError(
+                        f"{path}:{no}: repeated section header {line}")
+                sections[line] = None
             else:
                 if target is None:
                     raise ValueError(

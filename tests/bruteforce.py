@@ -8,13 +8,14 @@ bit-for-bit, not approximate.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from edlab.adversary import AdversaryState
 from edlab.core import Answer, CountingOracle, Instance, Outcome, ceil_log2
 from edlab.profiles import ClusterProfile
-from edlab.setint import SIInstance, bipartite_profile_of, si_family
+from edlab.setint import SIInstance
 from edlab.sortsel import drive, drive_bounded
 
 LT, EQ, GT = Answer.LT, Answer.EQ, Answer.GT
@@ -300,7 +301,9 @@ def brute_realize(state: AdversaryState, clusters) -> Instance:
     if covered != list(range(n)):
         raise ValueError("assignment must cover every element exactly once")
     anchors = []
-    for c in clusters:
+    for cid, c in enumerate(clusters):
+        if not c:
+            raise ValueError(f"cluster {cid} is empty")
         anchor = max((state.positions[i] for i in c), key=len)
         for i in c:
             if not anchor.startswith(state.positions[i]):
@@ -325,6 +328,25 @@ def brute_realize(state: AdversaryState, clusters) -> Instance:
 # module's version shares the tree adversary's rule and realize; both
 # must play and realize every game identically.
 
+def brute_cube_root(n: int) -> int:
+    """s with s**3 == n for a family size n = 2**(3t), t >= 1."""
+    s = round(n ** (1 / 3))
+    while s ** 3 < n:
+        s += 1
+    if s ** 3 != n or s < 2 or s & (s - 1):
+        raise ValueError("n must be 2**(3t) for integer t >= 1")
+    return s
+
+
+def brute_si_family_pairs(n: int, i: int) -> list:
+    """The family's clusters as (a_size, b_size) pairs, from its
+    definition: (j, 1 if j == i else 0) for j = 1..s, n - 1 B-singletons
+    (0, 1) and one big A-cluster holding the rest of A."""
+    s = brute_cube_root(n)
+    return ([(j, 1 if j == i else 0) for j in range(1, s + 1)]
+            + [(0, 1)] * (n - 1) + [(n - s * (s + 1) // 2, 0)])
+
+
 class BruteSIAdversary:
     """B-elements walk down the tree; A-elements sit at fixed leaves.
 
@@ -337,11 +359,7 @@ class BruteSIAdversary:
     """
 
     def __init__(self, n: int):
-        s = round(n ** (1 / 3))
-        while s ** 3 < n:
-            s += 1
-        if s ** 3 != n or s < 2 or s & (s - 1):
-            raise ValueError("n must be 2**(3t) for integer t >= 1")
+        s = brute_cube_root(n)
         self.n = n
         self.s = s
         self.l = round(math.log2(n)) // 3
@@ -437,7 +455,9 @@ def brute_si_adversary_game(opponent_factory: Callable[[int], object],
     rank = {kk: r for r, kk in enumerate(sorted(set(a_keys + b_keys)))}
     inst = SIInstance(tuple(rank[kk] for kk in a_keys),
                       tuple(rank[kk] for kk in b_keys))
-    if not bipartite_profile_of(inst) == si_family(n, j):
+    if not brute_bipartite_equal(
+            brute_bipartite_profile_of(inst.a_values, inst.b_values),
+            brute_si_family_pairs(n, j)):
         raise RuntimeError("realized instance is not in the target family")
     return BruteSIGameReport(inst, j, oracle.count, oracle.transcript,
                              finished, result if finished else None)
@@ -483,9 +503,10 @@ def brute_bipartite_equal(p, q) -> bool:
 
 
 def brute_bipartite_profile_of(a_values, b_values) -> list:
-    """One (A count, B count) pair per distinct value of either side."""
-    return [(a_values.count(v), b_values.count(v))
-            for v in set(a_values) | set(b_values)]
+    """One (A count, B count) pair per distinct value of either side,
+    the counts read off one Counter per side."""
+    a_counts, b_counts = Counter(a_values), Counter(b_values)
+    return [(a_counts[v], b_counts[v]) for v in a_counts.keys() | b_counts]
 
 
 # --- reference sort/select kernels ---------------------------------------

@@ -176,6 +176,10 @@ def test_realize_rejects_bad_assignments():
         realize(state, [[0, 1]])  # diverged pair is not a chain
     with pytest.raises(ValueError):
         realize(fresh_state(2), [[0]])  # element 1 uncovered
+    with pytest.raises(ValueError, match=r"^cluster 1 is empty$"):
+        realize(fresh_state(2), [[0], [], [1]])
+    with pytest.raises(ValueError, match=r"^cluster 0 is empty$"):
+        realize(fresh_state(0), [[]])
 
 
 def test_game_pack_realize_consistency_multiprofile():

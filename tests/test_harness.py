@@ -221,6 +221,7 @@ BAD_INPUT_FILES = {
     "no_b.si": "A:\n1\n",
     "empty_a.si": "A:\nB:\n1\n",
     "empty_b.si": "A:\n1\nB:\n\n",
+    "repeated.si": "A:\n1\nB:\n2\nA:\n2\n",
 }
 
 
@@ -234,7 +235,8 @@ BAD_FILE_AT = {"garbled.inst": "garbled.inst:2:",
                "empty.si": "empty.si:",
                "no_b.si": "no_b.si:",
                "empty_a.si": "empty_a.si:",
-               "empty_b.si": "empty_b.si:"}
+               "empty_b.si": "empty_b.si:",
+               "repeated.si": "repeated.si:5:"}
 
 
 @pytest.mark.parametrize("args", [
@@ -264,6 +266,7 @@ BAD_FILE_AT = {"garbled.inst": "garbled.inst:2:",
     ["si", "run", "--algo", "doubling", "--input", "no_b.si"],
     ["si", "run", "--algo", "doubling", "--input", "empty_a.si"],
     ["si", "run", "--algo", "clairvoyant", "--input", "empty_b.si"],
+    ["si", "run", "--algo", "doubling", "--input", "repeated.si"],
 ])
 def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import (brute_bipartite_equal, brute_bipartite_pairs,
-                        brute_bipartite_profile_of)
+                        brute_bipartite_profile_of, brute_si_family_pairs)
 from edlab.core import Outcome
 from edlab.setint import (BipartiteProfile, SIInstance, bipartite_profile_of,
                           read_si_instance, realize_si_family, si_clairvoyant,
@@ -130,6 +130,20 @@ def test_family_totals_all_i():
             assert len(both) == 1 and both[0] == (i, 1)
 
 
+def test_family_matches_reference_pairs():
+    for n in (8, 64, 512, 4096):
+        s = round(n ** (1 / 3))
+        for i in range(1, s + 1):
+            assert brute_bipartite_equal(si_family(n, i).clusters,
+                                         brute_si_family_pairs(n, i))
+        inst = realize_si_family(n, s, seed=n)
+        assert brute_bipartite_equal(
+            brute_bipartite_profile_of(inst.a_values, inst.b_values),
+            brute_si_family_pairs(n, s))
+        assert not brute_bipartite_equal(si_family(n, 1).clusters,
+                                         brute_si_family_pairs(n, s))
+
+
 def test_realize_family_matches_profile():
     for n, i in ((8, 1), (8, 2), (64, 3)):
         inst = realize_si_family(n, i, seed=4)
@@ -214,3 +228,17 @@ def test_si_instance_file_round_trip(tmp_path):
     path = tmp_path / "si.inst"
     write_si_instance(path, inst)
     assert read_si_instance(path) == inst
+
+
+@pytest.mark.parametrize("text,line,header", [
+    ("A:\n1\nB:\n2\nA:\n2\n", 5, "A:"),
+    ("A:\n1\nB:\n2\n\nB:\n3\n", 6, "B:"),
+    ("A:\nA:\n1\nB:\n1\n", 2, "A:"),
+])
+def test_read_si_instance_rejects_repeated_header(tmp_path, text, line,
+                                                   header):
+    path = tmp_path / "twice.si"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_si_instance(path)
+    assert str(exc.value) == f"{path}:{line}: repeated section header {header}"
