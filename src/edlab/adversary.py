@@ -295,8 +295,8 @@ def reconstruct(state: AdversaryState, profile: ClusterProfile):
         clusters[cid] = pools[ni][lo:lo + t] + roots[r:r + need]
         lo += t
         r += need
-    leftovers = [cid for cid in range(profile.m) if clusters[cid] is None]
-    leftovers.sort(key=sizes.__getitem__, reverse=True)
+    # order_desc is a stable sort, so this keeps ties in index order
+    leftovers = [cid for cid in order_desc if clusters[cid] is None]
     for cid in leftovers:
         s = sizes[cid]
         if s > len(roots) - r:

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (Answer, CountingOracle, Instance, Outcome, RunReport,
-                   ceil_log2, verify_graph)
+from .core import Answer, CountingOracle, Outcome, RunReport, ceil_log2
 from .profiles import ClusterProfile, approx_L2_scan, select_L1, select_L2
 from .sortsel import EQ, LT, drive, merge_sort_gen, select_gen
 
@@ -34,21 +33,17 @@ def block_sorting_gen(items, k: int, stats: Optional[dict] = None):
     if k < 1:
         raise ValueError("block size must be >= 1")
     start = iters = 0  # items[start:] remain
-    while len(items) - start >= 2 * k:
+    while True:
+        end = start + k if len(items) - start >= 2 * k else len(items)
         iters += 1
         if stats is not None:
             stats["iterations"] = iters
-        res = yield from merge_sort_gen(items[start : start + k])
+        res = yield from merge_sort_gen(items[start:end])
         if res[0] == "dup":
             return Outcome.DUPLICATE, (res[1], res[2])
-        start += k
-    iters += 1
-    if stats is not None:
-        stats["iterations"] = iters
-    res = yield from merge_sort_gen(items[start:])
-    if res[0] == "dup":
-        return Outcome.DUPLICATE, (res[1], res[2])
-    return Outcome.GAVE_UP, None
+        if end == len(items):
+            return Outcome.GAVE_UP, None
+        start = end
 
 
 def _median_rec(items, L, C, st, memo, limit):
@@ -266,16 +261,14 @@ def oblivious(oracle: CountingOracle, n: Optional[int] = None) -> RunReport:
     return _run(oracle, oblivious_gen(n, costs), branch_costs=costs)
 
 
-def clairvoyant(oracle: CountingOracle, instance: Optional[Instance],
-                profile: ClusterProfile) -> RunReport:
+def clairvoyant(oracle: CountingOracle, profile: ClusterProfile) -> RunReport:
     """Pick the cheaper of the two parameterized algorithms for profile.
 
     Runs median recursion with L1 when its bound beats the block bound,
-    else block sorting with k = 2*D(L2).  The instance, when given, is
-    only used to enforce the clairvoyance contract.
+    else block sorting with k = 2*D(L2).  The profile is the advice G(I)
+    and is taken as given; harness.run_algorithm checks a profile that
+    comes from outside against its instance.
     """
-    if instance is not None and not verify_graph(instance, profile):
-        raise ValueError("instance does not realize the claimed profile")
     n = profile.n
     items = range(n)
     sel1 = select_L1(profile)
@@ -298,8 +291,6 @@ class PreprocessedPlan:
     profile: ClusterProfile
     k: Optional[int] = None
     approx_L: Optional[int] = None
-    approx_objective: float = 0.0
-    size_comparisons: int = 0
 
 
 def preprocess(profile: ClusterProfile) -> PreprocessedPlan:
@@ -310,23 +301,18 @@ def preprocess(profile: ClusterProfile) -> PreprocessedPlan:
     selection costs O(n) there anyway), otherwise it commits to block
     sorting with k = 2*D of the approximate L.
     """
-    t, obj, cmps = approx_L2_scan(profile)
+    t, obj, _ = approx_L2_scan(profile)
     if obj >= profile.n:
-        return PreprocessedPlan("defer", profile, approx_L=t,
-                                approx_objective=obj, size_comparisons=cmps)
-    return PreprocessedPlan("block", profile, k=2 * profile.d(t), approx_L=t,
-                            approx_objective=obj, size_comparisons=cmps)
+        return PreprocessedPlan("defer", profile, approx_L=t)
+    return PreprocessedPlan("block", profile, k=2 * profile.d(t), approx_L=t)
 
 
-def run_preprocessed(plan: PreprocessedPlan, oracle: CountingOracle,
-                     instance: Optional[Instance] = None) -> RunReport:
-    if instance is not None and not verify_graph(instance, plan.profile):
-        raise ValueError("instance does not realize the claimed profile")
+def run_preprocessed(plan: PreprocessedPlan, oracle: CountingOracle) -> RunReport:
     if plan.mode == "block":
         rep = block_sorting(oracle, range(plan.profile.n), plan.k)
         rep.stats.update(mode="block", k=plan.k, approx_L=plan.approx_L)
         return rep
-    rep = clairvoyant(oracle, None, plan.profile)
+    rep = clairvoyant(oracle, plan.profile)
     rep.stats.update(mode="defer")
     return rep
 

@@ -37,13 +37,20 @@ def _finish(header, rows, violations, out):
     _exit_on(violations)
 
 
-def _kv(pairs):
+def _kv(option, pairs, keys):
+    """{key: int} from ``option``'s key=value tokens, which must give each
+    of ``keys`` once; anything else is one error that names the option."""
     out = {}
-    for tok in pairs:
-        key, _, val = tok.partition("=")
-        if not val:
-            raise click.BadParameter(f"expected key=value, got {tok!r}")
-        out[key] = int(val)
+    for key, _, val in (tok.partition("=") for tok in pairs):
+        if key not in keys or key in out:
+            break
+        try:
+            out[key] = int(val)
+        except ValueError:
+            break
+    if not len(out) == len(pairs) == len(keys):
+        want = " ".join(f"{k}=<int>" for k in keys)
+        raise ValueError(f"{option} expects {want}, got {' '.join(pairs)!r}")
     return out
 
 
@@ -79,11 +86,11 @@ def gen(profile_random, clique, seed, out_dir):
     if (profile_random is None) == (clique is None):
         raise click.UsageError("pass exactly one of --profile-random/--clique")
     if clique is not None:
-        params = _kv([clique])
+        params = _kv("--clique", [clique], ("n",))
         paths, violations = harness.cmd_gen(out_dir, clique_n=params["n"],
                                             seed=seed)
     else:
-        params = _kv(profile_random)
+        params = _kv("--profile-random", profile_random, ("m", "n"))
         paths, violations = harness.cmd_gen(out_dir, random_m=params["m"],
                                             random_n=params["n"], seed=seed)
     for p in paths:

@@ -78,15 +78,13 @@ class CountingOracle:
     ``transcript`` is None.
     """
 
-    __slots__ = ("instance", "adversary", "n", "count", "transcript",
-                 "_values")
+    __slots__ = ("adversary", "n", "count", "transcript", "_values")
 
     def __init__(self, instance: Optional[Instance] = None,
                  adversary: Optional[Callable[[int, int], Answer]] = None,
                  n: Optional[int] = None):
         if (instance is None) == (adversary is None):
             raise ValueError("exactly one of instance/adversary required")
-        self.instance = instance
         self.adversary = adversary
         self.n = len(instance) if instance is not None else n
         if self.n is None:

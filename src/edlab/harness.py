@@ -19,9 +19,10 @@ from typing import Optional
 
 from .core import (CountingOracle, Instance, Outcome, realize_instance,
                    replay_transcript, verify_graph, write_instance)
-from .profiles import (ClusterProfile, LowerBounds, approx_L2_scan, cd,
-                       check_linear_subset, reduction_budget, select_L1,
-                       select_L2, selection_for, write_profile)
+from .profiles import (ClusterProfile, approx_L2_scan, cd, check_linear_subset,
+                       lower_bound_block, lower_bound_combined,
+                       lower_bound_median, reduction_budget, select_L1,
+                       select_L2, write_profile)
 from .algorithms import (block_sorting, block_sorting_gen, clairvoyant,
                          doubling_gen, median_recursion,
                          median_recursion_gen, oblivious, oblivious_gen,
@@ -51,6 +52,15 @@ def derive_seed(seed: int, *parts: int) -> int:
     for p in parts:
         h = (h * 1000003 + p + 0x9E3779B9) & 0xFFFFFFFF
     return h
+
+
+def _at_least(option: str, values, least: int,
+              most: Optional[int] = None) -> None:
+    """Raise naming ``option`` unless every value is in least..most."""
+    for v in values:
+        if v < least or most is not None and v > most:
+            want = f"at least {least}" if most is None else f"in {least}..{most}"
+            raise ValueError(f"{option} must be {want}, got {v}")
 
 
 # --- random profile families ------------------------------------------------
@@ -134,9 +144,24 @@ def default_median_L(profile: ClusterProfile) -> int:
 def run_algorithm(algo: str, inst: Instance,
                   profile: Optional[ClusterProfile] = None,
                   k: Optional[int] = None, L: Optional[int] = None):
-    """Run one algorithm on one instance; returns (oracle, RunReport)."""
+    """Run one algorithm on one instance; returns (oracle, RunReport).
+
+    This is where a profile enters a run, and the one place it is
+    checked: a supplied profile must be realized by the instance,
+    whatever the algorithm.  Without one, the profile is derived from
+    the instance for the runners that read it; the runners take their
+    profile as given.
+    """
+    if algo not in RUN_ALGOS:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    if profile is not None and not verify_graph(inst, profile):
+        raise ValueError("instance does not realize the claimed profile")
     n = len(inst)
     oracle = CountingOracle(inst)
+    if algo == "oblivious":
+        return oracle, oblivious(oracle, n)
+    if algo == "doubling":
+        return oracle, order_doubling(oracle, n)
     prof = profile or profile_of_instance(inst)
     if algo == "block":
         return oracle, block_sorting(oracle, range(n),
@@ -145,14 +170,8 @@ def run_algorithm(algo: str, inst: Instance,
         return oracle, median_recursion(oracle, range(n),
                                         L if L is not None else default_median_L(prof))
     if algo == "clairvoyant":
-        return oracle, clairvoyant(oracle, inst, prof)
-    if algo == "oblivious":
-        return oracle, oblivious(oracle, n)
-    if algo == "preprocessed":
-        return oracle, run_preprocessed(preprocess(prof), oracle, inst)
-    if algo == "doubling":
-        return oracle, order_doubling(oracle, n)
-    raise ValueError(f"unknown algorithm {algo!r}")
+        return oracle, clairvoyant(oracle, prof)
+    return oracle, run_preprocessed(preprocess(prof), oracle)
 
 
 def check_report(inst: Instance, rep) -> Optional[str]:
@@ -236,6 +255,7 @@ def cmd_duel(algo: str, n: int, profile: ClusterProfile,
              rounds: Optional[int] = None):
     if profile.n != n:
         raise ValueError(f"profile covers {profile.n} elements, not {n}")
+    _at_least("--rounds", [] if rounds is None else [rounds], 0)
     budget = rounds if rounds is not None else reconstruction_budget(profile)
     state = play_game(duel_opponent(algo, profile), n, budget)
     survived = state.halted is None  # opponent still running at the cap
@@ -247,7 +267,7 @@ def cmd_duel(algo: str, n: int, profile: ClusterProfile,
         inst = realize(state, clusters)
         consistency = (replay_transcript(inst, state.transcript)
                        and verify_graph(inst, profile))
-        cv = clairvoyant(CountingOracle(inst), inst, profile).comparisons
+        cv = clairvoyant(CountingOracle(inst), profile).comparisons
         if not consistency:
             # a realized instance must always replay; this is a soundness bug
             violations.append(
@@ -274,18 +294,13 @@ MIN_SEPARATION_N = 16
 MIN_BOUNDS_NMAX = 8
 
 
-def _at_least(option: str, values, least: int) -> None:
-    for v in values:
-        if v < least:
-            raise ValueError(f"{option} must be at least {least}, got {v}")
-
-
 COMPETITIVE_HEADER = ["n", "profile_id", "clairvoyant_cmp", "oblivious_cmp",
                       "ratio", "ratio_over_llog"]
 
 
 def cmd_sweep_competitive(ns, reps: int, seed: int):
     _at_least("--ns", ns, MIN_COMPETITIVE_N)
+    _at_least("--reps", [reps], 1)
     seed = effective_seed(seed)
     rows, violations = [], []
     for n in ns:
@@ -294,7 +309,7 @@ def cmd_sweep_competitive(ns, reps: int, seed: int):
             rng = random.Random(derive_seed(seed, n, pid))
             prof = ClusterProfile(random_profile(rng, n, pid % 4))
             inst = realize_instance(prof, seed=derive_seed(seed, n, pid, 1))
-            r_cv = clairvoyant(CountingOracle(inst), inst, prof)
+            r_cv = clairvoyant(CountingOracle(inst), prof)
             r_ob = oblivious(CountingOracle(inst), n)
             bad = check_report(inst, r_cv) or check_report(inst, r_ob)
             for rep, name in ((r_cv, "clairvoyant"), (r_ob, "oblivious")):
@@ -396,6 +411,7 @@ def bounds_row(pid: int, seed: int, nmax: int):
 
 
 def cmd_check_bounds(count: int, nmax: int, seed: int):
+    _at_least("--count", [count], 1)
     _at_least("--nmax", [nmax], MIN_BOUNDS_NMAX)
     seed = effective_seed(seed)
     results = [bounds_row(pid, seed, nmax) for pid in range(count)]
@@ -418,7 +434,8 @@ def cmd_si_run(algo: str, path, i: Optional[int] = None):
     elif algo == "clairvoyant":
         if i is None:
             raise ValueError("clairvoyant needs --i")
-        # a family instance has |A| = n
+        # a family instance has |A| = n and type-1 clusters 1..n^(1/3)
+        _at_least("--i", [i], 1, most=round(inst.na ** (1 / 3)))
         rep = si_clairvoyant(oracle, inst.na, inst.nb, i, inst.na)
     else:
         raise ValueError(f"unknown si algorithm {algo!r}")
@@ -443,16 +460,16 @@ BOUNDS_HEADER = ["M_median", "M_block", "M_combined"]
 
 
 def cmd_profile_stats(profile: ClusterProfile):
-    sel = selection_for(profile)
-    row = [profile.n, profile.m, profile.max_size(),
-           sel.L1 if sel.L1 is not None else "",
-           f"{sel.bound1:.3f}" if sel.bound1 is not None else "",
-           sel.L2, f"{sel.bound2:.3f}", sel.L2_approx,
-           f"{sel.approx_objective:.3f}"]
+    sel1 = select_L1(profile)
+    L2, bound2 = select_L2(profile)
+    t, obj, _ = approx_L2_scan(profile)
+    L1, bound1 = (sel1[0], f"{sel1[1]:.3f}") if sel1 is not None else ("", "")
+    row = [profile.n, profile.m, profile.max_size(), L1, bound1,
+           L2, f"{bound2:.3f}", t, f"{obj:.3f}"]
     return STATS_HEADER, [row], []
 
 
 def cmd_profile_bounds(profile: ClusterProfile):
-    lb = LowerBounds.of(profile)
-    row = [f"{lb.median:.6f}", f"{lb.block:.6f}", f"{lb.combined:.6f}"]
+    row = [f"{bound(profile):.6f}" for bound in
+           (lower_bound_median, lower_bound_block, lower_bound_combined)]
     return BOUNDS_HEADER, [row], []

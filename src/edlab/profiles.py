@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
 
@@ -95,18 +94,6 @@ def median_bound_value(C: int, L: int) -> float:
     if C == 0:
         return 0.0
     return 0.25 * C * max(0.0, math.log2(C / (2 * L)))
-
-
-@dataclass
-class ParameterSelection:
-    """Clairvoyantly chosen parameters for both algorithm families."""
-
-    L1: Optional[int]
-    bound1: Optional[float]
-    L2: int
-    bound2: float
-    L2_approx: int
-    approx_objective: float
 
 
 def _clamped_candidates(profile: ClusterProfile, clamp: int):
@@ -279,19 +266,6 @@ def lower_bound_combined(profile: ClusterProfile) -> float:
     return 0.001 * min(term1, term2)
 
 
-@dataclass
-class LowerBounds:
-    median: float
-    block: float
-    combined: float
-
-    @classmethod
-    def of(cls, profile: ClusterProfile) -> "LowerBounds":
-        return cls(lower_bound_median(profile),
-                   lower_bound_block(profile),
-                   lower_bound_combined(profile))
-
-
 def reduction_budget(profile: ClusterProfile) -> float:
     """min(n'/8, (1/32)*min_{C'(L)<n'} (C'+D')*max(1,log2 D')) over the
     reduced profile G' of derive_reduced, with n' its vertex count."""
@@ -308,17 +282,6 @@ def check_linear_subset(profile: ClusterProfile) -> bool:
     means a bug, and the harness treats it as such.
     """
     return reduction_budget(profile) >= lower_bound_block(profile)
-
-
-def selection_for(profile: ClusterProfile) -> ParameterSelection:
-    sel1 = select_L1(profile)
-    L2, b2 = select_L2(profile)
-    t, obj, _ = approx_L2_scan(profile)
-    return ParameterSelection(
-        L1=sel1[0] if sel1 else None,
-        bound1=sel1[1] if sel1 else None,
-        L2=L2, bound2=b2, L2_approx=t, approx_objective=obj,
-    )
 
 
 # --- profile file format: one decimal cluster size per line ---------------

@@ -253,7 +253,7 @@ def test_criterion_07_oblivious_competitiveness():
     for t in range(50):
         prof = ClusterProfile(random_profile(rng, n, t % 4))
         inst = realize_instance(prof, seed=300 + t)
-        rep_c = clairvoyant(CountingOracle(inst), inst, prof)
+        rep_c = clairvoyant(CountingOracle(inst), prof)
         rep_o = oblivious(CountingOracle(inst), n)
         if rep_o.outcome is not Outcome.DUPLICATE:
             bad.append(f"profile {t}: oblivious found no duplicate")

@@ -12,6 +12,7 @@ from edlab.algorithms import (block_sorting, clairvoyant, median_recursion,
                               run_preprocessed, select_kth)
 from edlab.core import (CountingOracle, Instance, Outcome, ceil_log2,
                         realize_instance)
+from edlab.harness import run_algorithm
 from edlab.profiles import ClusterProfile, select_L1, select_L2
 
 profiles = st.lists(st.integers(min_value=1, max_value=9), min_size=1,
@@ -145,7 +146,7 @@ def test_median_structure_bounds(p, seed, data):
 def test_clairvoyant_one_clique():
     p = ClusterProfile([16])
     inst = realize_instance(p, 0)
-    rep = clairvoyant(oracle_for(inst.values), inst, p)
+    rep = clairvoyant(oracle_for(inst.values), p)
     assert rep.outcome is Outcome.DUPLICATE
     assert rep.comparisons == 1
     assert rep.stats["path"] == "block" and rep.stats["k"] == 2
@@ -155,7 +156,7 @@ def test_clairvoyant_all_singletons():
     n = 16
     p = ClusterProfile([1] * n)
     inst = realize_instance(p, 1)
-    rep = clairvoyant(oracle_for(inst.values), inst, p)
+    rep = clairvoyant(oracle_for(inst.values), p)
     assert rep.outcome is Outcome.GAVE_UP
     assert rep.comparisons <= n * ceil_log2(n)
 
@@ -166,22 +167,22 @@ def test_clairvoyant_pair_profile_cost():
     b2 = select_L2(p)[1]
     for seed in range(5):
         inst = realize_instance(p, seed)
-        rep = clairvoyant(oracle_for(inst.values), inst, p)
+        rep = clairvoyant(oracle_for(inst.values), p)
         assert rep.outcome is Outcome.DUPLICATE
         assert rep.comparisons <= 10 * min(b1, b2)
 
 
 def test_clairvoyant_rejects_profile_mismatch():
     inst = realize_instance(ClusterProfile([2, 1]), 0)
-    with pytest.raises(ValueError):
-        clairvoyant(oracle_for(inst.values), inst, ClusterProfile([3]))
+    with pytest.raises(ValueError, match="does not realize"):
+        run_algorithm("clairvoyant", inst, ClusterProfile([3]))
 
 
 @settings(max_examples=50, deadline=None)
 @given(p=profiles, seed=st.integers(0, 999))
 def test_clairvoyant_outcome_matches_profile(p, seed):
     inst = realize_instance(p, seed)
-    rep = clairvoyant(oracle_for(inst.values), inst, p)
+    rep = clairvoyant(oracle_for(inst.values), p)
     if p.max_size() >= 2:
         if rep.outcome is Outcome.DUPLICATE:
             check_witness(inst.values, rep)
@@ -197,7 +198,7 @@ def test_preprocess_one_clique_plan():
     plan = preprocess(p)
     assert plan.mode == "block" and plan.k == 2
     inst = realize_instance(p, 0)
-    rep = run_preprocessed(plan, oracle_for(inst.values), inst)
+    rep = run_preprocessed(plan, oracle_for(inst.values))
     assert rep.outcome is Outcome.DUPLICATE and rep.comparisons == 1
 
 
@@ -207,10 +208,9 @@ def test_preprocess_defers_on_flat_profiles():
 
 
 def test_run_preprocessed_rejects_mismatch():
-    plan = preprocess(ClusterProfile([4]))
     inst = realize_instance(ClusterProfile([2, 2]), 0)
-    with pytest.raises(ValueError):
-        run_preprocessed(plan, oracle_for(inst.values), inst)
+    with pytest.raises(ValueError, match="does not realize"):
+        run_algorithm("preprocessed", inst, ClusterProfile([4]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,7 +220,7 @@ def test_run_preprocessed_within_triple_clairvoyant_budget(p, seed):
     term1 = sel1[1] if sel1 else math.inf
     budget = min(term1, select_L2(p)[1])
     inst = realize_instance(p, seed)
-    rep = run_preprocessed(preprocess(p), oracle_for(inst.values), inst)
+    rep = run_preprocessed(preprocess(p), oracle_for(inst.values))
     assert rep.comparisons <= 3 * 10 * budget
     if p.max_size() >= 2:
         assert rep.outcome is Outcome.DUPLICATE

@@ -83,11 +83,11 @@ def run_case(algo, n, mode) -> dict:
     elif algo == "median":
         rep = median_recursion(oracle, range(n), default_median_L(prof))
     elif algo == "clairvoyant":
-        rep = clairvoyant(oracle, inst, prof)
+        rep = clairvoyant(oracle, prof)
     elif algo == "oblivious":
         rep = oblivious(oracle, n)
     elif algo == "preprocessed":
-        rep = run_preprocessed(preprocess(prof), oracle, inst)
+        rep = run_preprocessed(preprocess(prof), oracle)
     else:
         rep = order_doubling(oracle, n)
     return _report(rep, oracle)

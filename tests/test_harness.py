@@ -7,10 +7,14 @@ import random
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from edlab import algorithms, harness
 from edlab.cli import main
 from edlab.core import Outcome, RunReport, read_instance
 from edlab.harness import (
+    RUN_ALGOS,
     check_report,
     default_block_k,
     default_median_L,
@@ -111,6 +115,64 @@ def test_run_algorithm_dispatch_and_ground_truth():
         assert rep.outcome is Outcome.DUPLICATE
         assert rep.comparisons == oracle.count
         assert check_report(inst, rep) is None
+
+
+def _settled(algo, inst, prof):
+    """What run_algorithm returns or raises, as comparable data."""
+    try:
+        oracle, rep = run_algorithm(algo, inst, prof)
+    except ValueError as exc:  # oblivious needs n >= 2
+        return str(exc)
+    return rep, oracle.count
+
+
+CONTRACT = "instance does not realize the claimed profile"
+
+
+@pytest.mark.parametrize("algo", RUN_ALGOS)
+@settings(max_examples=25, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=10),
+       seed=st.integers(0, 99))
+@example(sizes=[1], seed=0)
+@example(sizes=[2], seed=0)
+@example(sizes=[1, 1], seed=0)
+@example(sizes=[1] * 7, seed=3)
+def test_run_algorithm_settles_the_profile(algo, sizes, seed):
+    inst = realize_instance(ClusterProfile(sizes), seed)
+    assert (_settled(algo, inst, profile_of_instance(inst))
+            == _settled(algo, inst, None))
+    n = len(inst)
+    others = [ClusterProfile(sizes + [1])]  # another n
+    if n > 1:  # the same n, another shape
+        others.append(ClusterProfile([n - 1, 1] if max(sizes) == n else [n]))
+    for other in others:
+        with pytest.raises(ValueError, match=f"^{CONTRACT}$"):
+            run_algorithm(algo, inst, other)
+
+
+@pytest.mark.parametrize("algo", RUN_ALGOS)
+def test_run_algorithm_checks_a_profile_once(algo, monkeypatch):
+    calls = {"verify": 0, "derive": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(harness, "verify_graph",
+                        counting("verify", harness.verify_graph))
+    monkeypatch.setattr(harness, "profile_of_instance",
+                        counting("derive", harness.profile_of_instance))
+    prof = ClusterProfile([4, 2, 1, 1])
+    inst = realize_instance(prof, seed=2)
+    run_algorithm(algo, inst, prof)
+    assert calls == {"verify": 1, "derive": 0}
+    calls.update(verify=0)
+    run_algorithm(algo, inst)
+    reads_profile = algo not in ("oblivious", "doubling")
+    assert calls == {"verify": 0, "derive": int(reads_profile)}
+    # the runners take their profile as given
+    assert not hasattr(algorithms, "verify_graph")
 
 
 def test_run_algorithm_unknown_name():
@@ -267,11 +329,23 @@ BAD_FILE_AT = {"garbled.inst": "garbled.inst:2:",
     ["si", "run", "--algo", "doubling", "--input", "empty_a.si"],
     ["si", "run", "--algo", "clairvoyant", "--input", "empty_b.si"],
     ["si", "run", "--algo", "doubling", "--input", "repeated.si"],
+    ["gen", "--clique", "x=5"],
+    ["gen", "--clique", "n=abc"],
+    ["gen", "--profile-random", "m=8", "x=64"],
+    ["duel", "--algo", "block", "--profile", "other.prof", "--rounds", "-3"],
+    ["si", "run", "--algo", "clairvoyant", "--input", "fam64.si", "--i", "0"],
+    ["si", "run", "--algo", "clairvoyant", "--input", "fam64.si", "--i", "-1"],
+    ["si", "run", "--algo", "clairvoyant", "--input", "fam64.si", "--i", "5"],
+    ["sweep-competitive", "--ns", "64", "--reps", "-2"],
+    ["sweep-competitive", "--ns", "64", "--reps", "0"],
+    ["check-bounds", "--count", "-1"],
+    ["check-bounds", "--count", "0"],
 ])
 def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, text in BAD_INPUT_FILES.items():
         (tmp_path / name).write_text(text)
+    write_si_instance("fam64.si", realize_si_family(64, 1, seed=0))
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)  # no traceback
@@ -280,6 +354,44 @@ def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
     where = BAD_FILE_AT.get(args[-1])
     if where is not None:
         assert lines[0].startswith(f"Error: {where} ")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["gen", "--clique", "x=5"], "--clique expects n=<int>, got 'x=5'"),
+    (["gen", "--clique", "n=abc"], "--clique expects n=<int>, got 'n=abc'"),
+    (["gen", "--profile-random", "m=8", "x=64"],
+     "--profile-random expects m=<int> n=<int>, got 'm=8 x=64'"),
+    (["duel", "--algo", "block", "--profile", "other.prof", "--rounds", "-3"],
+     "--rounds must be at least 0, got -3"),
+    (["si", "run", "--algo", "clairvoyant", "--input", "fam64.si", "--i", "5"],
+     "--i must be in 1..4, got 5"),
+    (["si", "run", "--algo", "clairvoyant", "--input", "fam64.si", "--i", "0"],
+     "--i must be in 1..4, got 0"),
+    (["sweep-competitive", "--ns", "64", "--reps", "-2"],
+     "--reps must be at least 1, got -2"),
+    (["check-bounds", "--count", "-1"], "--count must be at least 1, got -1"),
+])
+def test_cli_bad_option_is_named_with_what_it_takes(args, message, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "other.prof").write_text(BAD_INPUT_FILES["other.prof"])
+    write_si_instance("fam64.si", realize_si_family(64, 1, seed=0))
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 1
+    assert res.output == f"Error: {message}\n"
+
+
+@pytest.mark.parametrize("algo", RUN_ALGOS)
+def test_cli_run_rejects_a_profile_the_instance_does_not_realize(algo,
+                                                                  tmp_path):
+    # clusters [5, 3] against a claimed [4, 4]
+    (tmp_path / "x.inst").write_text("0\n0\n0\n0\n0\n1\n1\n1\n")
+    (tmp_path / "x.prof").write_text("4\n4\n")
+    res = CliRunner().invoke(main, ["run", "--algo", algo,
+                                    "--input", str(tmp_path / "x.inst"),
+                                    "--profile", str(tmp_path / "x.prof")])
+    assert res.exit_code == 1
+    assert res.output == f"Error: {CONTRACT}\n"
 
 
 def test_cli_gen_requires_exactly_one_mode(tmp_path):

@@ -10,12 +10,13 @@ from bruteforce import (brute_cd, brute_lower_bound_block,
                         brute_lower_bound_combined, brute_lower_bound_median,
                         brute_reduction_budget, brute_select_L1,
                         brute_select_L2)
-from edlab.profiles import (ClusterProfile, LowerBounds, approx_L2_scan, cd,
+from edlab.harness import cmd_profile_bounds, cmd_profile_stats
+from edlab.profiles import (ClusterProfile, approx_L2_scan, cd,
                             check_linear_subset, derive_reduced,
                             lower_bound_block, lower_bound_combined,
                             lower_bound_median, read_profile,
                             reduction_budget, select_L1, select_L2,
-                            selection_for, write_profile)
+                            write_profile)
 
 profiles = st.lists(st.integers(min_value=1, max_value=12), min_size=1,
                     max_size=20).map(ClusterProfile)
@@ -106,11 +107,17 @@ def test_lower_bound_pinned_values():
     assert lower_bound_combined(ClusterProfile([3, 1, 1, 1])) == 0.006
 
 
+# profiles with and without an L1 candidate, and with a zero median bound
+ROW_PROFILES = ([3, 1, 1, 1], [1] * 9, [8], [2] + [1] * 16, [5, 5, 2, 1])
+
+
 def test_lower_bounds_bundle():
-    p = ClusterProfile([3, 1, 1, 1])
-    lb = LowerBounds.of(p)
-    assert (lb.median, lb.block, lb.combined) == (
-        lower_bound_median(p), lower_bound_block(p), lower_bound_combined(p))
+    for sizes in ROW_PROFILES:
+        p = ClusterProfile(sizes)
+        _, [row], _ = cmd_profile_bounds(p)
+        assert row == [f"{lower_bound_median(p):.6f}",
+                       f"{lower_bound_block(p):.6f}",
+                       f"{lower_bound_combined(p):.6f}"]
 
 
 def test_approx_L2_trivial_profile():
@@ -165,12 +172,15 @@ def test_check_linear_subset_examples():
 
 
 def test_selection_bundle_is_coherent():
-    p = ClusterProfile([3, 1, 1, 1])
-    sel = selection_for(p)
-    assert (sel.L1, sel.bound1) == select_L1(p)
-    assert (sel.L2, sel.bound2) == select_L2(p)
-    t, obj, _ = approx_L2_scan(p)
-    assert (sel.L2_approx, sel.approx_objective) == (t, obj)
+    for sizes in ROW_PROFILES:
+        p = ClusterProfile(sizes)
+        _, [row], _ = cmd_profile_stats(p)
+        sel1 = select_L1(p)
+        L1, bound1 = (sel1[0], f"{sel1[1]:.3f}") if sel1 else ("", "")
+        L2, bound2 = select_L2(p)
+        t, obj, _ = approx_L2_scan(p)
+        assert row == [p.n, p.m, p.max_size(), L1, bound1,
+                       L2, f"{bound2:.3f}", t, f"{obj:.3f}"]
 
 
 def test_profile_file_round_trip(tmp_path):
