@@ -434,8 +434,11 @@ def cmd_si_run(algo: str, path, i: Optional[int] = None):
     elif algo == "clairvoyant":
         if i is None:
             raise ValueError("clairvoyant needs --i")
-        # a family instance has |A| = n and type-1 clusters 1..n^(1/3)
-        _at_least("--i", [i], 1, most=round(inst.na ** (1 / 3)))
+        # a family instance has |A| = n = s^3 and type-1 clusters 1..s;
+        # si_clairvoyant refuses any other A side
+        s = round(inst.na ** (1 / 3))
+        if s ** 3 == inst.na:
+            _at_least("--i", [i], 1, most=s)
         rep = si_clairvoyant(oracle, inst.na, inst.nb, i, inst.na)
     else:
         raise ValueError(f"unknown si algorithm {algo!r}")
