@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from typing import Callable, Optional
 
 from .algorithms import doubling_gen
@@ -38,8 +38,9 @@ def _diverge(pos, x, y) -> Answer:
     one step each: equal paths split (x left, y right, answer LT); when
     one path is a proper prefix of the other, the shallower element
     steps to the sibling of the deeper one's next move, i.e. appends
-    the complement of the deeper path's next bit; already-diverged
-    pairs are answered in place, by the bit where they differ."""
+    the complement of the deeper path's next bit.  The two paths have
+    then diverged and are answered by string order, which decides at
+    the first bit where they differ, as "0" < "1"."""
     px, py = pos[x], pos[y]
     if px == py:
         pos[x] = px + "0"
@@ -53,10 +54,7 @@ def _diverge(pos, x, y) -> Answer:
         nxt = px[len(py)]
         py = py + ("1" if nxt == "0" else "0")
         pos[y] = py
-    d = 0
-    while px[d] == py[d]:
-        d += 1
-    return LT if px[d] < py[d] else GT
+    return LT if px < py else GT
 
 
 class TreeAdversary:
@@ -466,16 +464,14 @@ def si_adversary_game(opponent_factory: Callable[[int], object],
     result, finished = drive_bounded(opponent_factory(n), oracle,
                                      adv.rounds_budget)
     pos = adv.positions
-    cands = [(len(pos[i]), i) for i in range(n, 2 * n)
-             if len(pos[i]) <= adv.l]
-    if not cands:
+    xb = min(range(n, 2 * n), key=lambda i: len(pos[i]))
+    if len(pos[xb]) > adv.l:
         raise RuntimeError("every B-element is deep; depth budget violated")
-    _, xb = min(cands)
     j = int((pos[xb] + "0" * adv.l)[:adv.l], 2) + 1
-    # A-clusters first, then the B-singletons by index: see realize
-    clusters = [[] for _ in range(adv.s + 1)]
-    for i, c in enumerate(adv.a_cluster):
-        clusters[c].append(i)
+    # A-clusters first, then the B-singletons by index: see realize.
+    # Cluster c's members are a_cluster's contiguous run of c.
+    clusters = [list(run) for _, run in
+                groupby(range(n), adv.a_cluster.__getitem__)]
     clusters[j].append(xb)
     for i in range(n, 2 * n):
         if i != xb:

@@ -106,14 +106,16 @@ def median_recursion_gen(items, L: int, stats: Optional[dict] = None):
 
     A plain function that returns the `_median_rec` generator, so a
     request leaves from that one frame; an L below 1 therefore raises
-    here, when this is called, not at the first request.
+    here, when this is called, not at the first request.  ``items`` is
+    a sequence (a list or a range) that is only measured, iterated and
+    sliced, never modified, so it is used without a copy.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
     st = stats if stats is not None else {}
     st.setdefault("small_calls", 0)
     st.setdefault("small_mass", 0)
-    return _median_rec(list(items), L, math.inf, st, [], 0)
+    return _median_rec(items, L, math.inf, st, [], 0)
 
 
 def doubling_gen(n: int):
@@ -127,7 +129,7 @@ def doubling_gen(n: int):
     k = 2
     while True:
         b = min(n, k)
-        res = yield from merge_sort_gen(list(range(b)))
+        res = yield from merge_sort_gen(range(b))
         if res[0] == "dup":
             return Outcome.DUPLICATE, (res[1], res[2])
         if b >= n:
@@ -321,7 +323,7 @@ def run_preprocessed(plan: PreprocessedPlan, oracle: CountingOracle) -> RunRepor
 
 def select_kth(oracle: CountingOracle, items, k: int):
     """Deterministic linear selection (median of medians, groups of 5)."""
-    return drive(select_gen(list(items), k), oracle)
+    return drive(select_gen(items, k), oracle)
 
 
 def order_baseline(oracle: CountingOracle, n: int, k: int) -> RunReport:

@@ -29,7 +29,7 @@ from .algorithms import (block_sorting, block_sorting_gen, clairvoyant,
                          order_doubling, preprocess, run_preprocessed)
 from .adversary import (few_deep_index, pack_separation, play_game, realize,
                         reconstruct)
-from .setint import read_si_instance, si_clairvoyant, si_doubling
+from .setint import read_si_instance, si_clairvoyant, si_doubling, si_shape
 
 RUN_ALGOS = ("block", "median", "clairvoyant", "oblivious", "preprocessed",
              "doubling")
@@ -149,8 +149,9 @@ def run_algorithm(algo: str, inst: Instance,
     This is where a profile enters a run, and the one place it is
     checked: a supplied profile must be realized by the instance,
     whatever the algorithm.  Without one, the profile is derived from
-    the instance for the runners that read it; the runners take their
-    profile as given.
+    the instance only for a run that reads it: clairvoyant,
+    preprocessed, and block or median without an explicit k or L.  The
+    runners take their profile as given.
     """
     if algo not in RUN_ALGOS:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -162,7 +163,8 @@ def run_algorithm(algo: str, inst: Instance,
         return oracle, oblivious(oracle, n)
     if algo == "doubling":
         return oracle, order_doubling(oracle, n)
-    prof = profile or profile_of_instance(inst)
+    given = {"block": k, "median": L}.get(algo)  # replaces a profile read
+    prof = (profile or profile_of_instance(inst)) if given is None else None
     if algo == "block":
         return oracle, block_sorting(oracle, range(n),
                                      k if k is not None else default_block_k(prof))
@@ -434,11 +436,9 @@ def cmd_si_run(algo: str, path, i: Optional[int] = None):
     elif algo == "clairvoyant":
         if i is None:
             raise ValueError("clairvoyant needs --i")
-        # a family instance has |A| = n = s^3 and type-1 clusters 1..s;
-        # si_clairvoyant refuses any other A side
-        s = round(inst.na ** (1 / 3))
-        if s ** 3 == inst.na:
-            _at_least("--i", [i], 1, most=s)
+        # a family instance has |A| = n and type-1 clusters 1..s
+        s, _ = si_shape(inst.na)
+        _at_least("--i", [i], 1, most=s)
         rep = si_clairvoyant(oracle, inst.na, inst.nb, i, inst.na)
     else:
         raise ValueError(f"unknown si algorithm {algo!r}")

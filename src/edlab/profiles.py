@@ -178,7 +178,7 @@ def approx_L2_scan(profile: ClusterProfile) -> tuple[int, float, int]:
         a, b = sizes[i], sizes[j]
         return LT if a < b else GT if a > b else EQ
 
-    cur = list(range(m))
+    cur = range(m)
     tmin = cur[0]
     for tok in cur[1:]:
         if cmp3(tok, tmin) is LT:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (CountingOracle, Instance, Outcome, RunReport,
                    parse_int_line)
@@ -162,16 +163,6 @@ def realize_si_family(n: int, i: int, seed: int = 0,
     return inst
 
 
-def _cross_witness(na):
-    def witness(x, y):
-        return (x < na) != (y < na)
-    return witness
-
-
-def _orient(na, x, y):
-    return (x, y) if x < na else (y, x)
-
-
 def si_doubling_gen(na: int, nb: int):
     """Joint-sort growing prefixes of both sides; cross EQ is a witness.
 
@@ -181,13 +172,14 @@ def si_doubling_gen(na: int, nb: int):
     certifies disjointness: any cross-equal pair in a fully sorted
     multiset gets directly compared during some merge.
     """
-    wit = _cross_witness(na)
     k = 2
     while True:
-        idxs = list(range(min(na, k))) + [na + j for j in range(min(nb, k))]
-        res = yield from merge_sort_gen(idxs, witness=wit)
+        res = yield from merge_sort_gen(
+            chain(range(min(na, k)), range(na, na + min(nb, k))),
+            witness=lambda x, y: (x < na) != (y < na))
         if res[0] == "dup":
-            return Outcome.DUPLICATE, _orient(na, res[1], res[2])
+            x, y = res[1], res[2]
+            return Outcome.DUPLICATE, (x, y) if x < na else (y, x)
         if k >= max(na, nb):
             return Outcome.DISTINCT, None
         k *= 2
@@ -209,11 +201,10 @@ def si_clairvoyant_gen(na: int, nb: int, i: int, n: int):
     an element to scan B with, stopping at the first EQ.  Structural
     surprises give up rather than guess.
     """
-    s = round(n ** (1 / 3))
-    if s ** 3 != n or na != n:
+    _, big = si_shape(n)
+    if na != n:
         raise ValueError("canonical family instance expected")
-    expected_rest = s * (s + 1) // 2
-    items = list(range(na))
+    items = range(na)
     med = yield from select_gen(items, (na + 1) // 2)
     rest = []
     for a in items:
@@ -222,7 +213,7 @@ def si_clairvoyant_gen(na: int, nb: int, i: int, n: int):
         ans = yield (a, med)
         if ans is not EQ:
             rest.append(a)
-    if len(rest) != expected_rest:
+    if len(rest) != n - big:
         return Outcome.GAVE_UP, None
     res = yield from merge_sort_gen(rest, witness=lambda x, y: False)
     order = res[1]

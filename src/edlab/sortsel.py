@@ -90,7 +90,8 @@ def merge_sort_gen(items, witness=None):
     Top-down: the halves split at n // 2 and each merge runs once both
     of its halves are sorted, in the order a recursive sort would run
     them.  The recursion lives on an explicit stack of [lo, hi) spans,
-    so every request leaves from this one frame.
+    so every request leaves from this one frame.  It sorts in place, so
+    ``items``, any iterable of indices, is copied into a list of its own.
     """
     a = list(items)
     stack = [(0, len(a), False)]
