@@ -54,6 +54,13 @@ def derive_seed(seed: int, *parts: int) -> int:
     return h
 
 
+def _only_for(owner: str, algo: str, option: str, value) -> None:
+    """Raise naming ``option`` when it is given to an --algo that is not
+    ``owner``, the one algorithm that reads it."""
+    if value is not None and algo != owner:
+        raise ValueError(f"{option} applies only to --algo {owner}")
+
+
 def _at_least(option: str, values, least: int,
               most: Optional[int] = None) -> None:
     """Raise naming ``option`` unless every value is in least..most."""
@@ -221,6 +228,8 @@ RUN_HEADER = ["algo", "n", "outcome", "comparisons", "witness_x", "witness_y"]
 def cmd_run(algo: str, inst: Instance,
             profile: Optional[ClusterProfile] = None,
             k: Optional[int] = None, L: Optional[int] = None):
+    _only_for("block", algo, "--k", k)
+    _only_for("median", algo, "--l", L)
     _, rep = run_algorithm(algo, inst, profile, k=k, L=L)
     wx, wy = rep.witness if rep.witness is not None else ("", "")
     row = [algo, len(inst), rep.outcome.value, rep.comparisons, wx, wy]
@@ -267,19 +276,24 @@ def cmd_duel(algo: str, n: int, profile: ClusterProfile,
     try:
         clusters, _ = reconstruct(state, profile)
         inst = realize(state, clusters)
-        consistency = (replay_transcript(inst, state.transcript)
-                       and verify_graph(inst, profile))
-        cv = clairvoyant(CountingOracle(inst), profile).comparisons
-        if not consistency:
-            # a realized instance must always replay; this is a soundness bug
-            violations.append(
-                "realized instance inconsistent with transcript/profile")
     except (RuntimeError, ValueError) as exc:
         # reconstruction is only guaranteed up to the default budget; a
         # failure past it is data (consistency stays False), not a violation
         if budget <= reconstruction_budget(profile):
             violations.append(
                 f"reconstruction failed inside the guaranteed budget: {exc}")
+    else:
+        consistency = (replay_transcript(inst, state.transcript)
+                       and verify_graph(inst, profile))
+        rep = clairvoyant(CountingOracle(inst), profile)
+        cv = rep.comparisons
+        if not consistency:
+            # a realized instance must always replay; this is a soundness bug
+            violations.append(
+                "realized instance inconsistent with transcript/profile")
+        err = check_report(inst, rep)
+        if err:
+            violations.append(f"clairvoyant on the realized instance: {err}")
     row = [n, state.rounds_played, algo, survived, consistency, cv]
     return DUEL_HEADER, [row], violations
 
@@ -358,11 +372,14 @@ def separation_row(n: int):
     ratio = state.rounds_played / max(1, rep.comparisons)
     row = [n, state.rounds_played, i, L, bound_ok, rep.comparisons,
            f"{ratio:.4f}", consistent]
+    err = check_report(inst, rep)
     bad = None
     if not survived:
         bad = f"opponent finished inside the round budget at n={n}"
     elif rep.outcome is not Outcome.DUPLICATE:
         bad = f"median recursion failed on the realized instance at n={n}"
+    elif err:
+        bad = f"median recursion on the realized instance at n={n}: {err}"
     elif not bound_ok:
         bad = f"C(L) exceeded n/2^(i-3) at n={n}"
     elif not consistent:
@@ -396,17 +413,21 @@ def bounds_row(pid: int, seed: int, nmax: int):
     factor = obj / opt if opt > 0 else 1.0
     C2, D2 = cd(prof, L2)
     block_ok: object = ""
+    err = None
     if 2 * C2 < n and D2 > 0:
         inst = realize_instance(prof, seed=derive_seed(seed, pid, 1))
         rep = block_sorting(CountingOracle(inst), range(n), 2 * D2)
         block_ok = (rep.outcome is Outcome.DUPLICATE
                     and rep.stats["iterations"] <= 1 + math.ceil(C2 / D2))
+        err = check_report(inst, rep)
     row = [pid, n, prof.m, linear_ok, f"{factor:.4f}", block_ok]
     bad = None
     if not linear_ok:
         bad = f"linear-subset inequality failed on profile {pid}"
     elif factor > 3.0:
         bad = f"approximation factor {factor:.3f} > 3 on profile {pid}"
+    elif err:
+        bad = f"block sorting on profile {pid}: {err}"
     elif block_ok is False:
         bad = f"block iteration bound violated on profile {pid}"
     return row, bad
@@ -429,6 +450,7 @@ SI_HEADER = ["algo", "na", "nb", "outcome", "comparisons", "witness_a",
 
 
 def cmd_si_run(algo: str, path, i: Optional[int] = None):
+    _only_for("clairvoyant", algo, "--i", i)
     inst = read_si_instance(path)
     oracle = inst.oracle()
     if algo == "doubling":

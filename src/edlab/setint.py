@@ -171,6 +171,11 @@ def si_doubling_gen(na: int, nb: int):
     side EQ continues as a tie.  The final joint sort (k >= both sides)
     certifies disjointness: any cross-equal pair in a fully sorted
     multiset gets directly compared during some merge.
+
+    The witness comes out as (A index, B index) with no reordering: a
+    merge compares an item of its left span with one of its right span,
+    and the A-indices are listed first, so a right span holding an
+    A-index has only A-indices to its left.
     """
     k = 2
     while True:
@@ -178,8 +183,7 @@ def si_doubling_gen(na: int, nb: int):
             chain(range(min(na, k)), range(na, na + min(nb, k))),
             witness=lambda x, y: (x < na) != (y < na))
         if res[0] == "dup":
-            x, y = res[1], res[2]
-            return Outcome.DUPLICATE, (x, y) if x < na else (y, x)
+            return Outcome.DUPLICATE, (res[1], res[2])
         if k >= max(na, nb):
             return Outcome.DISTINCT, None
         k *= 2

@@ -700,3 +700,52 @@ def brute_budgeted_median_branch_gen(n: int, i: int):
             return Outcome.DUPLICATE, res
         C *= 2
     return Outcome.GAVE_UP, None
+
+
+# --- reference merge-sort runners ------------------------------------------
+# The doubling, block and set-intersection doubling runners written
+# plainly on brute_merge_sort_gen: every sort gets a list built in full,
+# and the blocks are cut before the first sort.
+
+def brute_doubling_gen(n: int):
+    k = 2
+    while True:
+        res = yield from brute_merge_sort_gen(list(range(min(n, k))))
+        if res[0] == "dup":
+            return Outcome.DUPLICATE, (res[1], res[2])
+        if k >= n:
+            return Outcome.DISTINCT, None
+        k *= 2
+
+
+def brute_block_sorting_gen(items, k: int, stats: Optional[dict] = None):
+    if k < 1:
+        raise ValueError("block size must be >= 1")
+    rest = list(items)
+    blocks = []
+    while len(rest) >= 2 * k:  # a block of k leaves at least k behind
+        blocks.append(rest[:k])
+        rest = rest[k:]
+    blocks.append(rest)
+    for iters, block in enumerate(blocks, 1):
+        if stats is not None:
+            stats["iterations"] = iters
+        res = yield from brute_merge_sort_gen(block)
+        if res[0] == "dup":
+            return Outcome.DUPLICATE, (res[1], res[2])
+    return Outcome.GAVE_UP, None
+
+
+def brute_si_doubling_gen(na: int, nb: int):
+    def cross(x, y):
+        return (x < na) != (y < na)
+    k = 2
+    while True:
+        a_side = list(range(min(na, k)))
+        b_side = [na + j for j in range(min(nb, k))]
+        res = yield from brute_merge_sort_gen(a_side + b_side, cross)
+        if res[0] == "dup":  # a crossing pair: the A index is the smaller
+            return Outcome.DUPLICATE, tuple(sorted(res[1:]))
+        if k >= max(na, nb):
+            return Outcome.DISTINCT, None
+        k *= 2

@@ -171,6 +171,12 @@ def test_run_algorithm_checks_a_profile_once(algo, monkeypatch):
     run_algorithm(algo, inst)
     reads_profile = algo not in ("oblivious", "doubling")
     assert calls == {"verify": 0, "derive": int(reads_profile)}
+    # an explicit k or L is block's or median's only read of the profile
+    explicit = {"block": {"k": 2}, "median": {"L": 2}}.get(algo)
+    if explicit is not None:
+        calls.update(derive=0)
+        run_algorithm(algo, inst, **explicit)
+        assert calls == {"verify": 0, "derive": 0}
     # the runners take their profile as given
     assert not hasattr(algorithms, "verify_graph")
 
@@ -193,6 +199,37 @@ def test_check_report_flags_bad_claims():
     bad_distinct = RunReport(Outcome.DISTINCT, None, 3)
     assert "duplicates" in check_report(inst, bad_distinct)
     assert check_report(inst, RunReport(Outcome.GAVE_UP, None, 0)) is None
+
+
+# --- verdicts checked against ground truth -----------------------------------
+
+def _unequal_witness(*args):
+    """A runner stand-in whose witness (0, 0) is never an equal pair."""
+    return RunReport(Outcome.DUPLICATE, (0, 0), 1, stats={"iterations": 1})
+
+
+UNEQUAL = "witness (0,0) is not an equal pair"
+
+
+def test_duel_checks_clairvoyant_on_the_realized_instance(monkeypatch):
+    monkeypatch.setattr(harness, "clairvoyant", _unequal_witness)
+    prof = ClusterProfile([8, 8, 4, 4, 2, 2] + [1] * 36)
+    _, rows, violations = harness.cmd_duel("block", 64, prof, rounds=5)
+    assert rows[0][4] is True  # realized and replayed
+    assert violations == [f"clairvoyant on the realized instance: {UNEQUAL}"]
+
+
+def test_separation_row_checks_the_median_witness(monkeypatch):
+    monkeypatch.setattr(harness, "median_recursion", _unequal_witness)
+    _, bad, _ = harness.separation_row(16)
+    assert bad == f"median recursion on the realized instance at n=16: {UNEQUAL}"
+
+
+def test_bounds_row_checks_the_block_witness(monkeypatch):
+    monkeypatch.setattr(harness, "block_sorting", _unequal_witness)
+    row, bad = harness.bounds_row(0, 1, 64)
+    assert row[-1] is True  # the block branch ran and met its bound
+    assert bad == f"block sorting on profile 0: {UNEQUAL}"
 
 
 # --- CLI: gen ---------------------------------------------------------------
@@ -284,6 +321,8 @@ BAD_INPUT_FILES = {
     "empty_a.si": "A:\nB:\n1\n",
     "empty_b.si": "A:\n1\nB:\n\n",
     "repeated.si": "A:\n1\nB:\n2\nA:\n2\n",
+    "a3.si": "A:\n1\n2\n3\nB:\n1\n",
+    "a27.si": "A:\n" + "".join(f"{v}\n" for v in range(27)) + "B:\n0\n",
 }
 
 
@@ -340,6 +379,8 @@ BAD_FILE_AT = {"garbled.inst": "garbled.inst:2:",
     ["sweep-competitive", "--ns", "64", "--reps", "0"],
     ["check-bounds", "--count", "-1"],
     ["check-bounds", "--count", "0"],
+    ["si", "run", "--algo", "clairvoyant", "--input", "a3.si", "--i", "1"],
+    ["si", "run", "--algo", "clairvoyant", "--input", "a27.si", "--i", "1"],
 ])
 def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -370,11 +411,20 @@ def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
     (["sweep-competitive", "--ns", "64", "--reps", "-2"],
      "--reps must be at least 1, got -2"),
     (["check-bounds", "--count", "-1"], "--count must be at least 1, got -1"),
+    (["run", "--algo", "median", "--k", "0", "--input", "pair.inst"],
+     "--k applies only to --algo block"),
+    (["run", "--algo", "oblivious", "--l", "-5", "--input", "pair.inst"],
+     "--l applies only to --algo median"),
+    (["run", "--algo", "block", "--L", "3", "--input", "pair.inst"],
+     "--l applies only to --algo median"),
+    (["si", "run", "--algo", "doubling", "--input", "fam64.si", "--i", "99"],
+     "--i applies only to --algo clairvoyant"),
 ])
 def test_cli_bad_option_is_named_with_what_it_takes(args, message, tmp_path,
                                                    monkeypatch):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "other.prof").write_text(BAD_INPUT_FILES["other.prof"])
+    for name in ("other.prof", "pair.inst"):
+        (tmp_path / name).write_text(BAD_INPUT_FILES[name])
     write_si_instance("fam64.si", realize_si_family(64, 1, seed=0))
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 1

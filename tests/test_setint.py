@@ -223,6 +223,13 @@ def test_clairvoyant_rejects_non_family_shape():
         si_clairvoyant(inst.oracle(), 3, 3, 1, 3)
 
 
+def test_clairvoyant_refuses_a_cube_outside_the_family():
+    # 27 = 3^3, but the family needs n = 2^(3t)
+    inst = SIInstance(tuple(range(27)), (0,))
+    with pytest.raises(ValueError, match=r"^n must be 2\*\*\(3t\)"):
+        si_clairvoyant(inst.oracle(), 27, 1, 1, 27)
+
+
 def test_si_instance_file_round_trip(tmp_path):
     inst = realize_si_family(8, 2, seed=5)
     path = tmp_path / "si.inst"
