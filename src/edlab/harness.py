@@ -170,7 +170,8 @@ def run_algorithm(algo: str, inst: Instance,
         return oracle, oblivious(oracle, n)
     if algo == "doubling":
         return oracle, order_doubling(oracle, n)
-    given = {"block": k, "median": L}.get(algo)  # replaces a profile read
+    # block reads the profile only for a default k, median for a default L
+    given = {"block": k, "median": L}.get(algo)
     prof = (profile or profile_of_instance(inst)) if given is None else None
     if algo == "block":
         return oracle, block_sorting(oracle, range(n),
@@ -458,7 +459,8 @@ def cmd_si_run(algo: str, path, i: Optional[int] = None):
     elif algo == "clairvoyant":
         if i is None:
             raise ValueError("clairvoyant needs --i")
-        # a family instance has |A| = n and type-1 clusters 1..s
+        # si_shape refuses an A side outside the family, |A| = s^3 with
+        # s = 2^t, whose type-1 clusters are 1..s
         s, _ = si_shape(inst.na)
         _at_least("--i", [i], 1, most=s)
         rep = si_clairvoyant(oracle, inst.na, inst.nb, i, inst.na)

@@ -172,10 +172,10 @@ def si_doubling_gen(na: int, nb: int):
     certifies disjointness: any cross-equal pair in a fully sorted
     multiset gets directly compared during some merge.
 
-    The witness comes out as (A index, B index) with no reordering: a
-    merge compares an item of its left span with one of its right span,
-    and the A-indices are listed first, so a right span holding an
-    A-index has only A-indices to its left.
+    The witness comes out as (A index, B index) with no reordering.  A
+    merge asks (left item, right item), and its left span precedes its
+    right span in the list, where all A-indices precede all B-indices:
+    a right span that holds an A-index has a left span of A-indices.
     """
     k = 2
     while True:

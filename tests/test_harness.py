@@ -171,7 +171,7 @@ def test_run_algorithm_checks_a_profile_once(algo, monkeypatch):
     run_algorithm(algo, inst)
     reads_profile = algo not in ("oblivious", "doubling")
     assert calls == {"verify": 0, "derive": int(reads_profile)}
-    # an explicit k or L is block's or median's only read of the profile
+    # with an explicit k or L, block and median read no profile
     explicit = {"block": {"k": 2}, "median": {"L": 2}}.get(algo)
     if explicit is not None:
         calls.update(derive=0)
@@ -222,7 +222,8 @@ def test_duel_checks_clairvoyant_on_the_realized_instance(monkeypatch):
 def test_separation_row_checks_the_median_witness(monkeypatch):
     monkeypatch.setattr(harness, "median_recursion", _unequal_witness)
     _, bad, _ = harness.separation_row(16)
-    assert bad == f"median recursion on the realized instance at n=16: {UNEQUAL}"
+    assert bad == ("median recursion on the realized instance at n=16: "
+                   + UNEQUAL)
 
 
 def test_bounds_row_checks_the_block_witness(monkeypatch):
