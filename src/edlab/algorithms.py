@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .core import Answer, CountingOracle, Outcome, RunReport, ceil_log2
 from .profiles import ClusterProfile, approx_L2_scan, select_L1, select_L2
-from .sortsel import EQ, LT, drive, merge_sort_gen, select_gen
+from .sortsel import EQ, LT, drive, select_gen, sort_spans_gen
 
 
 # --- kernels ---------------------------------------------------------------
@@ -26,24 +27,22 @@ def block_sorting_gen(items, k: int, stats: Optional[dict] = None):
 
     While at least 2k items remain, the first k are merge sorted and
     discarded; any EQ is a witness.  The remainder (size < 2k) gets one
-    final sort.  stats["iterations"] counts started sort phases.
-    ``items`` is a sequence (a list or a range) that is only measured
-    and sliced, never modified, so it is used without a copy.
+    final sort, and a clean one gives up.  stats["iterations"] counts
+    started sort phases.
+
+    A plain function that returns the `sort_spans_gen` generator over
+    the q = max(0, len(items) // k - 1) blocks and the remainder; a k
+    below 1 therefore raises here, when this is called, not at the
+    first request.  ``items`` is a sequence (a list or a range) that is
+    only measured and sliced, never modified, so it is used without a
+    copy.
     """
     if k < 1:
         raise ValueError("block size must be >= 1")
-    start = iters = 0  # items[start:] remain
-    while True:
-        end = start + k if len(items) - start >= 2 * k else len(items)
-        iters += 1
-        if stats is not None:
-            stats["iterations"] = iters
-        res = yield from merge_sort_gen(items[start:end])
-        if res[0] == "dup":
-            return Outcome.DUPLICATE, (res[1], res[2])
-        if end == len(items):
-            return Outcome.GAVE_UP, None
-        start = end
+    q = max(0, len(items) // k - 1)
+    spans = chain((items[s:s + k] for s in range(0, q * k, k)),
+                  [items[q * k:]])
+    return sort_spans_gen(spans, Outcome.GAVE_UP, stats=stats)
 
 
 def _median_rec(items, L, C, st, memo, limit):
@@ -121,20 +120,15 @@ def median_recursion_gen(items, L: int, stats: Optional[dict] = None):
 def doubling_gen(n: int):
     """Sort the first min(n, k) indices from scratch for k = 2, 4, 8, ...
 
-    Any EQ is a witness; the final full sort (k >= n) certifies
-    Distinct.  Order-competitive against adversaries that must commit
-    early positions, and also the only branch of the oblivious runner
-    that can certify Distinct.
+    Any EQ is a witness; the final full sort (the first k >= n)
+    certifies Distinct.  Order-competitive against adversaries that
+    must commit early positions, and also the only branch of the
+    oblivious runner that can certify Distinct.  A plain function that
+    returns the `sort_spans_gen` generator over those prefixes.
     """
-    k = 2
-    while True:
-        b = min(n, k)
-        res = yield from merge_sort_gen(range(b))
-        if res[0] == "dup":
-            return Outcome.DUPLICATE, (res[1], res[2])
-        if b >= n:
-            return Outcome.DISTINCT, None
-        k *= 2
+    last = ceil_log2(max(2, n))  # the first k >= n is 2**last
+    return sort_spans_gen((range(min(n, 2 ** e)) for e in range(1, last + 1)),
+                          Outcome.DISTINCT)
 
 
 # --- budgeted median recursion with memoized top levels --------------------

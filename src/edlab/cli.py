@@ -55,7 +55,15 @@ def _kv(option, pairs, keys):
 
 
 def _parse_ns(text):
-    return tuple(int(tok) for tok in text.split(",") if tok)
+    """The sizes of a comma-separated --ns: one or more integers."""
+    try:
+        ns = tuple(int(tok) for tok in text.split(",") if tok)
+    except ValueError:
+        ns = ()
+    if not ns:
+        raise ValueError(
+            f"--ns expects comma-separated integers, got {text!r}")
+    return ns
 
 
 class _Group(click.Group):

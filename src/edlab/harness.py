@@ -158,10 +158,13 @@ def run_algorithm(algo: str, inst: Instance,
     whatever the algorithm.  Without one, the profile is derived from
     the instance only for a run that reads it: clairvoyant,
     preprocessed, and block or median without an explicit k or L.  The
-    runners take their profile as given.
+    runners take their profile as given.  A k is refused for any
+    algorithm but block, and an L for any but median.
     """
     if algo not in RUN_ALGOS:
         raise ValueError(f"unknown algorithm {algo!r}")
+    _only_for("block", algo, "--k", k)
+    _only_for("median", algo, "--l", L)
     if profile is not None and not verify_graph(inst, profile):
         raise ValueError("instance does not realize the claimed profile")
     n = len(inst)
@@ -185,10 +188,15 @@ def run_algorithm(algo: str, inst: Instance,
 
 
 def check_report(inst: Instance, rep) -> Optional[str]:
-    """Ground-truth check of a RunReport against the open instance."""
+    """Ground-truth check of a RunReport against the open instance.
+
+    A duplicate's witness must be two distinct indices in 0..n-1 that
+    hold equal values."""
     if rep.outcome is Outcome.DUPLICATE:
         x, y = rep.witness
-        if x == y or inst.values[x] != inst.values[y]:
+        n = len(inst)
+        if (not (0 <= x < n and 0 <= y < n) or x == y
+                or inst.values[x] != inst.values[y]):
             return f"witness ({x},{y}) is not an equal pair"
     elif rep.outcome is Outcome.DISTINCT:
         if len(set(inst.values)) != len(inst.values):
@@ -229,8 +237,6 @@ RUN_HEADER = ["algo", "n", "outcome", "comparisons", "witness_x", "witness_y"]
 def cmd_run(algo: str, inst: Instance,
             profile: Optional[ClusterProfile] = None,
             k: Optional[int] = None, L: Optional[int] = None):
-    _only_for("block", algo, "--k", k)
-    _only_for("median", algo, "--l", L)
     _, rep = run_algorithm(algo, inst, profile, k=k, L=L)
     wx, wy = rep.witness if rep.witness is not None else ("", "")
     row = [algo, len(inst), rep.outcome.value, rep.comparisons, wx, wy]
@@ -461,17 +467,23 @@ def cmd_si_run(algo: str, path, i: Optional[int] = None):
             raise ValueError("clairvoyant needs --i")
         # si_shape refuses an A side outside the family, |A| = s^3 with
         # s = 2^t, whose type-1 clusters are 1..s
-        s, _ = si_shape(inst.na)
+        try:
+            s, _ = si_shape(inst.na)
+        except ValueError as exc:
+            raise ValueError(f"{path}: |A| = {inst.na} is outside the "
+                             f"family: {exc}") from None
         _at_least("--i", [i], 1, most=s)
         rep = si_clairvoyant(oracle, inst.na, inst.nb, i, inst.na)
     else:
         raise ValueError(f"unknown si algorithm {algo!r}")
-    # witnesses live in the combined index space: A first, then B
+    # witnesses live in the combined index space: A first, then B, so a
+    # crossing pair has 0 <= wa < na <= wb < na + nb
     wa, wb = rep.witness if rep.witness is not None else ("", "")
     row = [algo, inst.na, inst.nb, rep.outcome.value, rep.comparisons, wa, wb]
     violations = []
     if rep.outcome is Outcome.DUPLICATE:
-        if inst.a_values[wa] != inst.b_values[wb - inst.na]:
+        if (not 0 <= wa < inst.na <= wb < inst.na + inst.nb
+                or inst.a_values[wa] != inst.b_values[wb - inst.na]):
             violations.append(f"witness ({wa},{wb}) is not a crossing pair")
     elif rep.outcome is Outcome.DISTINCT:
         if set(inst.a_values) & set(inst.b_values):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .core import (CountingOracle, Instance, Outcome, RunReport,
-                   parse_int_line)
-from .sortsel import EQ, drive, merge_sort_gen, select_gen
+                   ceil_log2, parse_int_line)
+from .sortsel import EQ, drive, merge_sort_gen, select_gen, sort_spans_gen
 
 
 @dataclass(frozen=True)
@@ -168,25 +168,22 @@ def si_doubling_gen(na: int, nb: int):
 
     k doubles; each round merge sorts the first min(na, k) A-indices
     together with the first min(nb, k) B-indices from scratch.  Same-
-    side EQ continues as a tie.  The final joint sort (k >= both sides)
-    certifies disjointness: any cross-equal pair in a fully sorted
-    multiset gets directly compared during some merge.
+    side EQ continues as a tie.  The final joint sort (the first k >=
+    both sides) certifies disjointness: any cross-equal pair in a fully
+    sorted multiset gets directly compared during some merge.  A plain
+    function that returns the `sort_spans_gen` generator over those
+    joint prefixes, with the cross witness.
 
     The witness comes out as (A index, B index) with no reordering.  A
     merge asks (left item, right item), and its left span precedes its
     right span in the list, where all A-indices precede all B-indices:
     a right span that holds an A-index has a left span of A-indices.
     """
-    k = 2
-    while True:
-        res = yield from merge_sort_gen(
-            chain(range(min(na, k)), range(na, na + min(nb, k))),
-            witness=lambda x, y: (x < na) != (y < na))
-        if res[0] == "dup":
-            return Outcome.DUPLICATE, (res[1], res[2])
-        if k >= max(na, nb):
-            return Outcome.DISTINCT, None
-        k *= 2
+    last = ceil_log2(max(2, na, nb))  # the first k >= na, nb is 2**last
+    spans = (chain(range(min(na, 2 ** e)), range(na, na + min(nb, 2 ** e)))
+             for e in range(1, last + 1))
+    return sort_spans_gen(spans, Outcome.DISTINCT,
+                          witness=lambda x, y: (x < na) != (y < na))
 
 
 def si_doubling(oracle: CountingOracle, na: int, nb: int) -> RunReport:

@@ -12,6 +12,11 @@ recursion is kept on an explicit stack, so a request does not pass
 through a ``yield from`` chain as deep as the recursion.  Both issue
 exactly the requests, in the order, of the recursive forms.
 
+Block sorting, prefix doubling and the set-intersection joint sort make
+one move: merge sort a run of indices and stop at the first equality
+that counts as a witness.  ``sort_spans_gen`` is that move; the three
+runners only choose their spans and how a clean run ends.
+
 Driver contract.  Every request is an ``(x, y)`` pair.  A driver binds
 the generator's ``send`` once per run and unpacks each request into two
 arguments, so the per-comparison call is a plain two-argument call.  It
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .core import Answer, CountingOracle
+from .core import Answer, CountingOracle, Outcome
 
 LT, EQ, GT = Answer.LT, Answer.EQ, Answer.GT
 
@@ -129,6 +134,25 @@ def merge_sort_gen(items, witness=None):
                     break
                 x = left[i]
     return ("ok", a)
+
+
+def sort_spans_gen(spans, end, witness=None, stats=None):
+    """Merge sort each span of ``spans`` in turn, from scratch.
+
+    Returns (Outcome.DUPLICATE, (x, y)) at the first witness, as
+    ``merge_sort_gen`` decides it with ``witness``, or (end, None) once
+    the last span sorts clean.  stats["iterations"] counts the sorts
+    started.  ``spans`` is any iterable of spans, each any iterable of
+    indices; it is advanced only between sorts, so a request leaves
+    from the merge's frame through this one.
+    """
+    for iters, span in enumerate(spans, 1):
+        if stats is not None:
+            stats["iterations"] = iters
+        res = yield from merge_sort_gen(span, witness)
+        if res[0] == "dup":
+            return Outcome.DUPLICATE, (res[1], res[2])
+    return end, None
 
 
 def select_gen(items, k: int):

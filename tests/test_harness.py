@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from edlab import algorithms, harness
 from edlab.cli import main
-from edlab.core import Outcome, RunReport, read_instance
+from edlab.core import Instance, Outcome, RunReport, read_instance
 from edlab.harness import (
     RUN_ALGOS,
     check_report,
@@ -181,6 +181,16 @@ def test_run_algorithm_checks_a_profile_once(algo, monkeypatch):
     assert not hasattr(algorithms, "verify_graph")
 
 
+@pytest.mark.parametrize("algo, option, message", [
+    (algo, option, f"{flag} applies only to --algo {owner}")
+    for option, owner, flag in (("k", "block", "--k"), ("L", "median", "--l"))
+    for algo in RUN_ALGOS if algo != owner])
+def test_run_algorithm_refuses_an_option_its_algorithm_does_not_read(
+        algo, option, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_algorithm(algo, Instance((5, 1, 2, 5)), **{option: 2})
+
+
 def test_run_algorithm_unknown_name():
     inst = realize_instance(ClusterProfile([2]), seed=0)
     with pytest.raises(ValueError):
@@ -231,6 +241,43 @@ def test_bounds_row_checks_the_block_witness(monkeypatch):
     row, bad = harness.bounds_row(0, 1, 64)
     assert row[-1] is True  # the block branch ran and met its bound
     assert bad == f"block sorting on profile 0: {UNEQUAL}"
+
+
+def _reporting(witness):
+    """A runner stand-in that reports a duplicate with ``witness``."""
+    return lambda *args: RunReport(Outcome.DUPLICATE, witness, 1)
+
+
+# on values 5, 1, 2, 5 a negative index reads from the end, so (-1, 0)
+# and (0, -1) name the equal values at 3 and 0; index 4 is past the end
+@pytest.mark.parametrize("witness", [(-1, 0), (0, -1), (0, 4), (4, 0)])
+def test_check_report_needs_two_indices_in_range(witness, monkeypatch):
+    monkeypatch.setattr(harness, "block_sorting", _reporting(witness))
+    _, _, violations = harness.cmd_run("block", Instance((5, 1, 2, 5)), k=2)
+    x, y = witness
+    assert violations == [f"witness ({x},{y}) is not an equal pair"]
+
+
+def test_cli_run_reports_an_out_of_range_witness(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "block_sorting", _reporting((0, 4)))
+    (tmp_path / "x.inst").write_text("5\n1\n2\n5\n")
+    res = CliRunner().invoke(main, ["run", "--algo", "block",
+                                    "--input", str(tmp_path / "x.inst")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    assert res.stderr == "violation: witness (0,4) is not an equal pair\n"
+
+
+# A = 1, 2, 3 at indices 0..2 and B = 3 at index 3: only (2, 3) crosses;
+# (2, 2) and (-1, 3) read equal values from the wrong places
+@pytest.mark.parametrize("witness", [(2, 2), (-1, 3), (3, 3), (2, 4)])
+def test_si_run_needs_an_a_index_then_a_b_index(witness, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.setattr(harness, "si_doubling", _reporting(witness))
+    (tmp_path / "x.si").write_text("A:\n1\n2\n3\nB:\n3\n")
+    _, _, violations = harness.cmd_si_run("doubling", tmp_path / "x.si")
+    wa, wb = witness
+    assert violations == [f"witness ({wa},{wb}) is not a crossing pair"]
 
 
 # --- CLI: gen ---------------------------------------------------------------
@@ -420,11 +467,20 @@ def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
      "--l applies only to --algo median"),
     (["si", "run", "--algo", "doubling", "--input", "fam64.si", "--i", "99"],
      "--i applies only to --algo clairvoyant"),
+    (["si", "run", "--algo", "clairvoyant", "--input", "a27.si", "--i", "1"],
+     "a27.si: |A| = 27 is outside the family: "
+     "n must be 2**(3t) for integer t >= 1"),
+    (["sweep-separation", "--ns", "1024,x"],
+     "--ns expects comma-separated integers, got '1024,x'"),
+    (["sweep-separation", "--ns", ","],
+     "--ns expects comma-separated integers, got ','"),
+    (["sweep-competitive", "--ns", ","],
+     "--ns expects comma-separated integers, got ','"),
 ])
 def test_cli_bad_option_is_named_with_what_it_takes(args, message, tmp_path,
                                                    monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for name in ("other.prof", "pair.inst"):
+    for name in ("other.prof", "pair.inst", "a27.si"):
         (tmp_path / name).write_text(BAD_INPUT_FILES[name])
     write_si_instance("fam64.si", realize_si_family(64, 1, seed=0))
     res = CliRunner().invoke(main, args)
