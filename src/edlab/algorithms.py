@@ -1,7 +1,10 @@
 """Element-distinctness algorithms over the comparison oracle.
 
 Every algorithm here is written as a request generator (see sortsel) and
-wrapped by a small runner that produces a RunReport.  The oblivious
+wrapped by a small runner that produces a RunReport.  Block sorting and
+prefix doubling are series of span sorts: their runners hand the spans to
+``sortsel.sort_spans``, which evaluates them on a realized instance
+without a request and drives the generator otherwise.  The oblivious
 runner multiplexes many branch generators through a round-robin
 scheduler that charges exactly one oracle comparison per live branch
 per round; the scheduler is itself a generator, so adversary games can
@@ -17,10 +20,23 @@ from typing import Optional
 
 from .core import Answer, CountingOracle, Outcome, RunReport, ceil_log2
 from .profiles import ClusterProfile, approx_L2_scan, select_L1, select_L2
-from .sortsel import EQ, LT, drive, select_gen, sort_spans_gen
+from .sortsel import EQ, LT, drive, select_gen, sort_spans, sort_spans_gen
 
 
 # --- kernels ---------------------------------------------------------------
+
+def _block_spans(items, k: int):
+    """The blocks of block sorting: q = max(0, len(items) // k - 1)
+    blocks of the k lowest remaining items, then the remainder, which
+    holds fewer than 2k.  ``items`` is a sequence (a list or a range)
+    that is only measured and sliced, never modified, so it is used
+    without a copy; a k below 1 raises here, before any block is cut."""
+    if k < 1:
+        raise ValueError("block size must be >= 1")
+    q = max(0, len(items) // k - 1)
+    return chain((items[s:s + k] for s in range(0, q * k, k)),
+                 [items[q * k:]])
+
 
 def block_sorting_gen(items, k: int, stats: Optional[dict] = None):
     """Sort disjoint blocks of k lowest remaining indices, then the rest.
@@ -31,18 +47,11 @@ def block_sorting_gen(items, k: int, stats: Optional[dict] = None):
     started sort phases.
 
     A plain function that returns the `sort_spans_gen` generator over
-    the q = max(0, len(items) // k - 1) blocks and the remainder; a k
-    below 1 therefore raises here, when this is called, not at the
-    first request.  ``items`` is a sequence (a list or a range) that is
-    only measured and sliced, never modified, so it is used without a
-    copy.
+    `_block_spans`; a k below 1 therefore raises here, when this is
+    called, not at the first request.  The runner `block_sorting` sorts
+    the same spans through `sort_spans`.
     """
-    if k < 1:
-        raise ValueError("block size must be >= 1")
-    q = max(0, len(items) // k - 1)
-    spans = chain((items[s:s + k] for s in range(0, q * k, k)),
-                  [items[q * k:]])
-    return sort_spans_gen(spans, Outcome.GAVE_UP, stats=stats)
+    return sort_spans_gen(_block_spans(items, k), Outcome.GAVE_UP, stats=stats)
 
 
 def _median_rec(items, L, C, st, memo, limit):
@@ -117,6 +126,13 @@ def median_recursion_gen(items, L: int, stats: Optional[dict] = None):
     return _median_rec(items, L, math.inf, st, [], 0)
 
 
+def _doubling_spans(n: int):
+    """The first min(n, k) indices for k = 2, 4, 8, ..., up to the first
+    k >= n."""
+    last = ceil_log2(max(2, n))  # the first k >= n is 2**last
+    return (range(min(n, 2 ** e)) for e in range(1, last + 1))
+
+
 def doubling_gen(n: int):
     """Sort the first min(n, k) indices from scratch for k = 2, 4, 8, ...
 
@@ -124,11 +140,10 @@ def doubling_gen(n: int):
     certifies Distinct.  Order-competitive against adversaries that
     must commit early positions, and also the only branch of the
     oblivious runner that can certify Distinct.  A plain function that
-    returns the `sort_spans_gen` generator over those prefixes.
+    returns the `sort_spans_gen` generator over `_doubling_spans`; the
+    runner `order_doubling` sorts the same spans through `sort_spans`.
     """
-    last = ceil_log2(max(2, n))  # the first k >= n is 2**last
-    return sort_spans_gen((range(min(n, 2 ** e)) for e in range(1, last + 1)),
-                          Outcome.DISTINCT)
+    return sort_spans_gen(_doubling_spans(n), Outcome.DISTINCT)
 
 
 # --- budgeted median recursion with memoized top levels --------------------
@@ -237,9 +252,16 @@ def _run(oracle: CountingOracle, gen, stats=None, branch_costs=None) -> RunRepor
                      branch_costs=branch_costs or {}, stats=stats or {})
 
 
+def _run_spans(oracle: CountingOracle, spans, end, stats=None) -> RunReport:
+    start = oracle.count
+    outcome, witness = sort_spans(oracle, spans, end, stats=stats)
+    return RunReport(outcome=outcome, witness=witness,
+                     comparisons=oracle.count - start, stats=stats or {})
+
+
 def block_sorting(oracle: CountingOracle, items, k: int) -> RunReport:
     stats = {}
-    return _run(oracle, block_sorting_gen(items, k, stats), stats)
+    return _run_spans(oracle, _block_spans(items, k), Outcome.GAVE_UP, stats)
 
 
 def median_recursion(oracle: CountingOracle, items, L: int) -> RunReport:
@@ -248,7 +270,7 @@ def median_recursion(oracle: CountingOracle, items, L: int) -> RunReport:
 
 
 def order_doubling(oracle: CountingOracle, n: int) -> RunReport:
-    return _run(oracle, doubling_gen(n))
+    return _run_spans(oracle, _doubling_spans(n), Outcome.DISTINCT)
 
 
 def oblivious(oracle: CountingOracle, n: Optional[int] = None) -> RunReport:
@@ -275,7 +297,8 @@ def clairvoyant(oracle: CountingOracle, profile: ClusterProfile) -> RunReport:
     else:
         k = 2 * profile.d(L2)
         stats = {"path": "block", "L": L2, "k": k, "bound": bound2}
-        rep = _run(oracle, block_sorting_gen(items, k, stats), stats)
+        rep = _run_spans(oracle, _block_spans(items, k), Outcome.GAVE_UP,
+                         stats)
     return rep
 
 

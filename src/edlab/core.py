@@ -4,7 +4,11 @@ Every algorithm in this package works in the comparison model: inputs are
 lists of opaque values that may only be inspected through three-way
 comparisons.  Values are realized as integer ranks, but only realization
 and verification code is allowed to look at them; algorithms receive an
-oracle plus index lists and nothing else.
+oracle plus index lists and nothing else.  The one other reader is
+``sortsel.sort_spans``: on a realized instance it computes what a merge
+sort of each span would cost, and where it would stop, from the values.
+A merge's answers are fixed by the values, so that cost is exactly the
+count the comparisons would have made, and the oracle is charged it.
 
 The oracle counts every comparison.  It records a transcript only when
 an adversary answers: a game's transcript is what replay checks against

@@ -63,7 +63,10 @@ def _only_for(owner: str, algo: str, option: str, value) -> None:
 
 def _at_least(option: str, values, least: int,
               most: Optional[int] = None) -> None:
-    """Raise naming ``option`` unless every value is in least..most."""
+    """Raise naming ``option`` unless there is a value and every value
+    is in least..most."""
+    if not values:
+        raise ValueError(f"{option} needs at least one value")
     for v in values:
         if v < least or most is not None and v > most:
             want = f"at least {least}" if most is None else f"in {least}..{most}"
@@ -273,7 +276,8 @@ def cmd_duel(algo: str, n: int, profile: ClusterProfile,
              rounds: Optional[int] = None):
     if profile.n != n:
         raise ValueError(f"profile covers {profile.n} elements, not {n}")
-    _at_least("--rounds", [] if rounds is None else [rounds], 0)
+    if rounds is not None:
+        _at_least("--rounds", [rounds], 0)
     budget = rounds if rounds is not None else reconstruction_budget(profile)
     state = play_game(duel_opponent(algo, profile), n, budget)
     survived = state.halted is None  # opponent still running at the cap

@@ -15,7 +15,10 @@ exactly the requests, in the order, of the recursive forms.
 Block sorting, prefix doubling and the set-intersection joint sort make
 one move: merge sort a run of indices and stop at the first equality
 that counts as a witness.  ``sort_spans_gen`` is that move; the three
-runners only choose their spans and how a clean run ends.
+runners only choose their spans and how a clean run ends.  On a realized
+instance the move's cost and first witness are functions of the values,
+so ``sort_spans`` computes them without a request; in adversary mode it
+drives ``sort_spans_gen``.
 
 Driver contract.  Every request is an ``(x, y)`` pair.  A driver binds
 the generator's ``send`` once per run and unpacks each request into two
@@ -23,11 +26,18 @@ arguments, so the per-comparison call is a plain two-argument call.  It
 looks up ``oracle.compare`` afresh on every request, though, and must
 keep doing so: a caller may swap ``CountingOracle.compare`` on the class
 in the middle of a run (the benchmark's tracer does, to time the first
-comparison of a run), and the swap has to reach the next request.
+comparison of a run), and the swap has to reach the next request.  The
+span runners (block sorting, prefix doubling, the SI joint sort and
+clairvoyant's block path) issue no request at all in instance mode, so
+the contract reaches them only in adversary mode.  Games, duel opponents
+and the oblivious scheduler always go through the drivers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import compress
+from operator import ne
 from typing import Callable
 
 from .core import Answer, CountingOracle, Outcome
@@ -136,16 +146,25 @@ def merge_sort_gen(items, witness=None):
     return ("ok", a)
 
 
-def sort_spans_gen(spans, end, witness=None, stats=None):
+def sort_spans_gen(spans, end, cross_at=None, stats=None):
     """Merge sort each span of ``spans`` in turn, from scratch.
 
-    Returns (Outcome.DUPLICATE, (x, y)) at the first witness, as
-    ``merge_sort_gen`` decides it with ``witness``, or (end, None) once
-    the last span sorts clean.  stats["iterations"] counts the sorts
-    started.  ``spans`` is any iterable of spans, each any iterable of
-    indices; it is advanced only between sorts, so a request leaves
-    from the merge's frame through this one.
+    An EQ answer is a witness when ``cross_at`` is None, or when exactly
+    one of its two indices is below ``cross_at``; other ties go left
+    first and the sort goes on.  Returns (Outcome.DUPLICATE, (x, y)) at
+    the first witness, or (end, None) once the last span sorts clean.
+    stats["iterations"] counts the sorts started.  ``spans`` is any
+    iterable of spans, each any iterable of indices; it is advanced only
+    between sorts, so a request leaves from the merge's frame through
+    this one.
+
+    This is the reference for ``sort_spans``, and the form that games,
+    duel opponents and the oblivious scheduler drive.
     """
+    witness = None
+    if cross_at is not None:
+        def witness(x, y):
+            return (x < cross_at) != (y < cross_at)
     for iters, span in enumerate(spans, 1):
         if stats is not None:
             stats["iterations"] = iters
@@ -153,6 +172,131 @@ def sort_spans_gen(spans, end, witness=None, stats=None):
         if res[0] == "dup":
             return Outcome.DUPLICATE, (res[1], res[2])
     return end, None
+
+
+def sort_spans(oracle: CountingOracle, spans, end, cross_at=None, stats=None):
+    """What ``drive(sort_spans_gen(spans, end, cross_at, stats), oracle)``
+    returns, with the same ``oracle.count`` and stats.
+
+    An adversary-mode oracle drives that generator.  On a realized
+    instance each span is evaluated from the values instead, with no
+    request, and its cost is added to ``oracle.count`` once it is known.
+    """
+    vals = oracle._values
+    if vals is None:
+        return drive(sort_spans_gen(spans, end, cross_at, stats), oracle)
+    for iters, span in enumerate(spans, 1):
+        if stats is not None:
+            stats["iterations"] = iters
+        cost, hit = _span_cost(vals, list(span), cross_at)
+        oracle.count += cost
+        if hit is not None:
+            return Outcome.DUPLICATE, hit
+    return end, None
+
+
+def _span_cost(vals, a, cross_at):
+    """(comparisons, witness or None) of ``merge_sort_gen(a)`` with
+    ``cross_at``'s witness rule, when ``vals`` answers every request.
+
+    Each merge depends only on the sorted values of its two halves, so
+    the recursion returns those, in the generator's post-order, and
+    stops where the generator stops.  Ties go left first, so a clean
+    merge of L and R places every item of the side whose maximum comes
+    first, plus the other side's items that come before that maximum.
+    Two equal items meet only at the merge that joins them: the shared
+    values of L and R are met in ascending order, each as R's first
+    item of that value against L's run of it in position order (the
+    generator's merges are stable), and the first of those EQs that is
+    a witness ends the sort.
+
+    Bad indices raise ValueError, as ``compare`` would: one out of range
+    when it is read, a repeated one when its copies meet.  Copies on one
+    side of ``cross_at`` may meet at a merge whose ties are never
+    inspected, so with ``cross_at`` a repeat is refused before any merge.
+    """
+    n = len(vals)
+    if cross_at is not None:
+        srt = sorted(a)
+        for x, y in zip(srt, srt[1:]):
+            if x == y:
+                raise ValueError(f"comparison of an index with itself: {x}")
+        # the positions p where a[p - 1] and a[p] lie on different sides
+        # of cross_at: a merge of a[lo:hi] holds both sides when one of
+        # them lies in lo+1..hi-1
+        side = list(map(cross_at.__gt__, a))
+        turns = list(compress(range(1, len(a)), map(ne, side, side[1:])))
+    cost = 0
+    hit = None
+
+    def stop(lo, mid, hi, L, R):
+        # charge and record the first witness among the values L and R
+        # share; False when no EQ between them is a witness
+        nonlocal cost, hit
+        for v in sorted(set(L).intersection(R)):
+            y = next(y for y in a[mid:hi] if vals[y] == v)
+            t = 0
+            for x in a[lo:mid]:
+                if vals[x] != v:
+                    continue
+                t += 1
+                if x == y:
+                    raise ValueError(f"comparison of an index with itself: {x}")
+                if cross_at is None or (x < cross_at) != (y < cross_at):
+                    cost += bisect_left(L, v) + bisect_left(R, v) + t
+                    hit = (x, y)
+                    return True
+        return False
+
+    def run(lo, hi):
+        # sorted values of a[lo:hi], or None once a witness is found
+        nonlocal cost, hit
+        if hi - lo == 2:
+            x, y = a[lo], a[lo + 1]
+            if not (0 <= x < n and 0 <= y < n):
+                raise ValueError(f"index out of range: ({x}, {y}) with n={n}")
+            vx, vy = vals[x], vals[y]
+            cost += 1
+            if vx < vy:
+                return [vx, vy]
+            if vx > vy:
+                return [vy, vx]
+            if x == y:
+                raise ValueError(f"comparison of an index with itself: {x}")
+            if cross_at is None or (x < cross_at) != (y < cross_at):
+                hit = (x, y)
+                return None
+            return [vx, vy]
+        if hi - lo == 1:
+            x = a[lo]
+            if not 0 <= x < n:
+                raise ValueError(f"index out of range: {x} with n={n}")
+            return [vals[x]]
+        mid = (lo + hi) // 2
+        L = run(lo, mid)
+        if L is None:
+            return None
+        R = run(mid, hi)
+        if R is None:
+            return None
+        if cross_at is None:
+            may_stop = True
+        else:
+            t = bisect_right(turns, lo)
+            may_stop = t < len(turns) and turns[t] < hi
+        if may_stop and not set(L).isdisjoint(R) and stop(lo, mid, hi, L, R):
+            return None
+        if L[-1] <= R[-1]:
+            cost += len(L) + bisect_left(R, L[-1])
+        else:
+            cost += len(R) + bisect_right(L, R[-1])
+        L += R
+        L.sort()
+        return L
+
+    if len(a) >= 2:
+        run(0, len(a))
+    return cost, hit
 
 
 def select_gen(items, k: int):

@@ -749,3 +749,47 @@ def brute_si_doubling_gen(na: int, nb: int):
         if k >= max(na, nb):
             return Outcome.DISTINCT, None
         k *= 2
+
+
+# --- reference structure-aware set-intersection solver ----------------------
+# si_clairvoyant written plainly on the reference kernels: every list is
+# built in full, the big cluster's size comes from brute_cube_root, and
+# the sorted remainder is cut into runs by adjacent comparisons.
+
+def brute_si_clairvoyant_gen(na: int, nb: int, i: int):
+    s = brute_cube_root(na)
+    big = na - s * (s + 1) // 2
+    a_side = list(range(na))
+    med = yield from brute_select_gen(a_side, (na + 1) // 2)
+    rest = []
+    for a in a_side:
+        if a != med and (yield (a, med)) is not EQ:
+            rest.append(a)
+    if len(rest) != na - big:
+        return Outcome.GAVE_UP, None
+    res = yield from brute_merge_sort_gen(rest, lambda x, y: False)
+    order = res[1]
+    runs = []
+    for k, x in enumerate(order):
+        if k > 0 and (yield (order[k - 1], x)) is EQ:
+            runs[-1].append(x)
+        else:
+            runs.append([x])
+    sized = [run for run in runs if len(run) == i]
+    if len(sized) != 1:
+        return Outcome.GAVE_UP, None
+    for b in range(na, na + nb):
+        if (yield (sized[0][0], b)) is EQ:
+            return Outcome.DUPLICATE, (sized[0][0], b)
+    return Outcome.GAVE_UP, None
+
+
+def brute_si_family_answer(a_values, b_values, i: int):
+    """What a family solver must say, from the values alone: the first
+    A index of the A-cluster of size i with the first B index of its
+    value, or GAVE_UP when B does not hold that value."""
+    v = next(v for v, c in Counter(a_values).items() if c == i)
+    for j, w in enumerate(b_values):
+        if w == v:
+            return Outcome.DUPLICATE, (a_values.index(v), len(a_values) + j)
+    return Outcome.GAVE_UP, None

@@ -626,6 +626,15 @@ def test_cli_sweep_competitive_small_deterministic():
             ratio / math.log2(math.log2(64)), abs=1e-3)
 
 
+@pytest.mark.parametrize("sweep", [
+    lambda: harness.cmd_sweep_competitive((), 1, 0),
+    lambda: harness.cmd_sweep_separation(()),
+])
+def test_sweeps_refuse_an_empty_size_list(sweep):
+    with pytest.raises(ValueError, match="--ns needs at least one value"):
+        sweep()
+
+
 def test_cli_check_bounds_small():
     runner = CliRunner()
     res = runner.invoke(main, ["check-bounds", "--count", "6",

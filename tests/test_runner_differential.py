@@ -2,7 +2,9 @@
 runners against the plain references in bruteforce.py, which build each
 sorted list in full before brute_merge_sort_gen sees it.  Requests,
 results and stats must agree exactly, including on n = 1 and 2 and on
-all-distinct inputs."""
+all-distinct inputs.  The runners that evaluate their spans on a
+realized instance (block_sorting, order_doubling, si_doubling) must
+report the reference's outcome, witness, request count and stats."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,8 +12,10 @@ from hypothesis import strategies as st
 
 from bruteforce import (brute_block_sorting_gen, brute_doubling_gen,
                         brute_si_doubling_gen, recorded_run as run)
-from edlab.algorithms import block_sorting_gen, doubling_gen
-from edlab.setint import si_doubling_gen
+from edlab.algorithms import (block_sorting, block_sorting_gen, doubling_gen,
+                              order_doubling)
+from edlab.core import CountingOracle, Instance
+from edlab.setint import si_doubling, si_doubling_gen
 
 
 @st.composite
@@ -86,6 +90,51 @@ def test_si_doubling_matches_reference(case):
     nb = len(values) - na
     got = run(si_doubling_gen(na, nb), values)
     assert got == run(brute_si_doubling_gen(na, nb), values)
+
+
+def _report_matches(rep, ref_gen, values, ref_stats=None):
+    """The runner's report says what the reference's run did."""
+    res, requests = run(ref_gen, values)
+    assert ((rep.outcome, rep.witness), rep.comparisons) == (res, len(requests))
+    assert rep.stats == (ref_stats or {})
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=instances(), data=st.data())
+@example(values=[0], data=None)
+@example(values=[1, 1], data=None)
+@example(values=[1, 0], data=None)
+@example(values=list(range(70)), data=None)
+@example(values=[6, 2, 5, 3, 4, 2, 0, 1, 6], data=None)
+def test_span_runners_match_reference_on_instances(values, data):
+    n = len(values)
+    inst = Instance(tuple(values))
+    _report_matches(order_doubling(CountingOracle(inst), n),
+                    brute_doubling_gen(n), values)
+    if data is None:
+        cases = [(k, range(n)) for k in range(1, n + 3)]
+    else:
+        cases = [(data.draw(st.integers(1, n + 2)),
+                  data.draw(st.permutations(range(n))))]
+    for k, items in cases:
+        ref_stats = {}
+        _report_matches(block_sorting(CountingOracle(inst), items, k),
+                        brute_block_sorting_gen(items, k, ref_stats), values,
+                        ref_stats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=si_instances())
+@example(case=(1, [0, 0]))
+@example(case=(1, [0, 1]))
+@example(case=(2, [4, 4, 1, 2]))
+@example(case=(3, [2, 1, 0, 3, 4, 5, 6, 7]))
+@example(case=(40, list(range(40)) + [39] + list(range(40, 70))))
+def test_si_doubling_runner_matches_reference_on_instances(case):
+    na, values = case
+    nb = len(values) - na
+    rep = si_doubling(CountingOracle(Instance(tuple(values))), na, nb)
+    _report_matches(rep, brute_si_doubling_gen(na, nb), values)
 
 
 @pytest.mark.parametrize("k", [0, -2])

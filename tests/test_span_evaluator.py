@@ -1,0 +1,120 @@
+"""sortsel.sort_spans against the generator it stands in for.
+
+On a realized instance sort_spans evaluates each span from the values;
+result, oracle.count and stats must equal what driving sort_spans_gen
+gives.  In adversary mode it drives that generator, so the transcript
+is the generator's.  The span runners must then issue no request at all
+on a realized instance.
+"""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bruteforce import recording_oracle
+from edlab import algorithms
+from edlab.algorithms import block_sorting, clairvoyant, order_doubling
+from edlab.core import CountingOracle, Instance, Outcome
+from edlab.profiles import ClusterProfile
+from edlab.setint import realize_si_family, si_doubling
+from edlab.sortsel import drive, sort_spans, sort_spans_gen
+
+
+@st.composite
+def cases(draw, max_n=60):
+    """(values, spans, cross_at): all-distinct or small-range values,
+    one to four spans, each a subset of the indices in any order, and a
+    cut anywhere or none."""
+    n = draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        values = draw(st.permutations(range(n)))
+    else:
+        hi = draw(st.integers(0, max(1, n // 4)))
+        values = draw(st.lists(st.integers(0, hi), min_size=n, max_size=n))
+    spans = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(range(n)))
+        spans.append(order[:draw(st.integers(0, n))])
+    cross_at = draw(st.one_of(st.none(), st.integers(0, n)))
+    return values, spans, cross_at
+
+
+def _both(values, spans, cross_at, end=Outcome.DISTINCT):
+    """(result, count, stats) from the generator, then from sort_spans."""
+    out = []
+    for run in (lambda o, st_: drive(sort_spans_gen(spans, end, cross_at, st_), o),
+                lambda o, st_: sort_spans(o, spans, end, cross_at, st_)):
+        oracle, stats = CountingOracle(Instance(tuple(values))), {}
+        out.append((run(oracle, stats), oracle.count, stats))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=cases())
+@example(case=([0], [[0]], None))
+@example(case=([0], [[], [0]], 0))
+@example(case=([5, 5], [[0, 1]], None))
+@example(case=([5, 5], [[1, 0]], 1))
+@example(case=([5, 5], [[0, 1]], 0))
+@example(case=([2, 1], [[0], [1, 0]], None))
+@example(case=([1, 1, 1, 0, 0], [[0, 1, 2, 3, 4]], 3))
+@example(case=([3, 1, 3, 1, 2, 2], [[5, 4, 3, 2, 1, 0]], 2))
+def test_sort_spans_matches_generator(case):
+    values, spans, cross_at = case
+    gen, fast = _both(values, spans, cross_at)
+    assert fast == gen
+
+
+def test_sort_spans_replays_generator_transcript_in_adversary_mode():
+    values = [4, 1, 3, 1, 0, 2, 4, 5]
+    spans = [[0, 1, 2], [7, 6, 5, 4, 3, 2, 1, 0]]
+    for cross_at in (None, 4):
+        ref, got = recording_oracle(values), recording_oracle(values)
+        ref_stats, got_stats = {}, {}
+        want = drive(sort_spans_gen(spans, Outcome.DISTINCT, cross_at,
+                                    ref_stats), ref)
+        assert sort_spans(got, spans, Outcome.DISTINCT, cross_at,
+                          got_stats) == want
+        assert got.transcript == ref.transcript
+        assert (got.count, got_stats) == (ref.count, ref_stats)
+
+
+@pytest.mark.parametrize("cross_at", [None, 2])
+@pytest.mark.parametrize("span", [[0, 4], [1, -1], [0, 1, 2, 3, 9],
+                                  [0, 0], [2, 1, 3, 2], [3, 0, 1, 0]])
+def test_sort_spans_rejects_bad_indices(span, cross_at):
+    oracle = CountingOracle(Instance((0, 1, 2, 3)))
+    with pytest.raises(ValueError):
+        sort_spans(oracle, [span], Outcome.DISTINCT, cross_at)
+    with pytest.raises(ValueError):
+        drive(sort_spans_gen([span], Outcome.DISTINCT, cross_at),
+              CountingOracle(Instance((0, 1, 2, 3))))
+
+
+class _Silent(CountingOracle):
+    """An instance oracle that fails the test on any request."""
+    __slots__ = ()
+
+    def compare(self, x, y):
+        raise AssertionError(f"request ({x}, {y}) in instance mode")
+
+
+def test_span_runners_issue_no_request_in_instance_mode():
+    inst = Instance((7, 3, 9, 1, 4, 3, 8, 0, 2, 6, 5, 9))
+    n = len(inst)
+    for runner, gen in (
+            (lambda o: block_sorting(o, range(n), 3),
+             lambda: algorithms.block_sorting_gen(range(n), 3, {})),
+            (lambda o: order_doubling(o, n),
+             lambda: algorithms.doubling_gen(n))):
+        oracle = CountingOracle(inst)
+        want = drive(gen(), oracle)
+        rep = runner(_Silent(inst))
+        assert ((rep.outcome, rep.witness), rep.comparisons) == (want, oracle.count)
+    quads = Instance((0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2))
+    rep = clairvoyant(_Silent(quads), ClusterProfile([4, 4, 4]))
+    assert rep.stats["path"] == "block"
+    assert rep.outcome is Outcome.DUPLICATE
+    si = realize_si_family(64, 2, seed=1)
+    rep = si_doubling(_Silent(si.combined()), si.na, si.nb)
+    assert rep.outcome is Outcome.DUPLICATE
