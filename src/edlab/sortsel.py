@@ -30,7 +30,8 @@ comparison of a run), and the swap has to reach the next request.  The
 span runners (block sorting, prefix doubling, the SI joint sort and
 clairvoyant's block path) issue no request at all in instance mode, so
 the contract reaches them only in adversary mode.  Games, duel opponents
-and the oblivious scheduler always go through the drivers.
+and the oblivious scheduler always go through the drivers, and
+``test_drivers_look_up_compare_per_request`` checks the contract there.
 """
 
 from __future__ import annotations
