@@ -190,20 +190,30 @@ def run_algorithm(algo: str, inst: Instance,
     return oracle, run_preprocessed(preprocess(prof), oracle)
 
 
-def check_report(inst: Instance, rep) -> Optional[str]:
+def check_report(inst: Instance, rep, cross_at=None) -> Optional[str]:
     """Ground-truth check of a RunReport against the open instance.
 
     A duplicate's witness must be two distinct indices in 0..n-1 that
-    hold equal values."""
+    hold equal values.  With ``cross_at``, the kernels' witness rule (A
+    is 0..cross_at-1, B the rest), it must be an A index then a B index,
+    and a Distinct verdict means no value is on both sides."""
+    vals = inst.values
+    n = len(vals)
     if rep.outcome is Outcome.DUPLICATE:
+        if rep.witness is None:
+            return "duplicate verdict without a witness"
         x, y = rep.witness
-        n = len(inst)
-        if (not (0 <= x < n and 0 <= y < n) or x == y
-                or inst.values[x] != inst.values[y]):
-            return f"witness ({x},{y}) is not an equal pair"
+        if cross_at is None:
+            if not (0 <= x < n and 0 <= y < n) or x == y or vals[x] != vals[y]:
+                return f"witness ({x},{y}) is not an equal pair"
+        elif not 0 <= x < cross_at <= y < n or vals[x] != vals[y]:
+            return f"witness ({x},{y}) is not a crossing pair"
     elif rep.outcome is Outcome.DISTINCT:
-        if len(set(inst.values)) != len(inst.values):
-            return "distinct verdict on an instance with duplicates"
+        if cross_at is None:
+            if len(set(vals)) != n:
+                return "distinct verdict on an instance with duplicates"
+        elif not set(vals[:cross_at]).isdisjoint(vals[cross_at:]):
+            return "disjoint verdict on intersecting inputs"
     return None
 
 
@@ -480,19 +490,10 @@ def cmd_si_run(algo: str, path, i: Optional[int] = None):
         rep = si_clairvoyant(oracle, inst.na, inst.nb, i, inst.na)
     else:
         raise ValueError(f"unknown si algorithm {algo!r}")
-    # witnesses live in the combined index space: A first, then B, so a
-    # crossing pair has 0 <= wa < na <= wb < na + nb
     wa, wb = rep.witness if rep.witness is not None else ("", "")
     row = [algo, inst.na, inst.nb, rep.outcome.value, rep.comparisons, wa, wb]
-    violations = []
-    if rep.outcome is Outcome.DUPLICATE:
-        if (not 0 <= wa < inst.na <= wb < inst.na + inst.nb
-                or inst.a_values[wa] != inst.b_values[wb - inst.na]):
-            violations.append(f"witness ({wa},{wb}) is not a crossing pair")
-    elif rep.outcome is Outcome.DISTINCT:
-        if set(inst.a_values) & set(inst.b_values):
-            violations.append("disjoint verdict on intersecting inputs")
-    return SI_HEADER, [row], violations
+    err = check_report(inst.combined(), rep, cross_at=inst.na)
+    return SI_HEADER, [row], [err] if err else []
 
 
 # --- profile inspection --------------------------------------------------

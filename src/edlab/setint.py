@@ -2,8 +2,9 @@
 
 A and B live in one combined index space (A first), so the counting
 oracle and the generator protocol carry over unchanged; an intersection
-witness is an EQ between opposite sides.  Equalities inside one side
-are legitimate input structure, never output.
+witness is an EQ between opposite sides, which the kernels and
+``harness.check_report`` test as ``cross_at=na``.  Equalities inside one
+side are legitimate input structure, never output.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def si_doubling(oracle: CountingOracle, na: int, nb: int) -> RunReport:
     return RunReport(outcome, witness, oracle.count - start)
 
 
-def si_clairvoyant_gen(na: int, nb: int, i: int, n: int):
+def si_clairvoyant_gen(na: int, nb: int, i: int):
     """Exploit the family structure: strip the big cluster, find cluster i.
 
     Median-select on A lands inside the big cluster (it is smaller than
@@ -210,9 +211,7 @@ def si_clairvoyant_gen(na: int, nb: int, i: int, n: int):
     an element to scan B with, stopping at the first EQ.  Structural
     surprises give up rather than guess.
     """
-    _, big = si_shape(n)
-    if na != n:
-        raise ValueError("canonical family instance expected")
+    _, big = si_shape(na)
     items = range(na)
     med = yield from select_gen(items, (na + 1) // 2)
     rest = []
@@ -222,9 +221,9 @@ def si_clairvoyant_gen(na: int, nb: int, i: int, n: int):
         ans = yield (a, med)
         if ans is not EQ:
             rest.append(a)
-    if len(rest) != n - big:
+    if len(rest) != na - big:
         return Outcome.GAVE_UP, None
-    res = yield from merge_sort_gen(rest, witness=lambda x, y: False)
+    res = yield from merge_sort_gen(rest, cross_at=na)  # A only: no witness
     order = res[1]
     clusters = [[order[0]]] if order else []
     for prev, cur in zip(order, order[1:]):
@@ -246,8 +245,10 @@ def si_clairvoyant_gen(na: int, nb: int, i: int, n: int):
 
 def si_clairvoyant(oracle: CountingOracle, na: int, nb: int, i: int,
                    n: int) -> RunReport:
+    if n != na:
+        raise ValueError("canonical family instance expected")
     start = oracle.count
-    outcome, witness = drive(si_clairvoyant_gen(na, nb, i, n), oracle)
+    outcome, witness = drive(si_clairvoyant_gen(na, nb, i), oracle)
     return RunReport(outcome, witness, oracle.count - start)
 
 

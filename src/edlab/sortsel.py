@@ -13,8 +13,10 @@ through a ``yield from`` chain as deep as the recursion.  Both issue
 exactly the requests, in the order, of the recursive forms.
 
 Block sorting, prefix doubling and the set-intersection joint sort make
-one move: merge sort a run of indices and stop at the first equality
-that counts as a witness.  ``sort_spans_gen`` is that move; the three
+one move: merge sort a run of indices and stop at the first witness, an
+equality between any two indices when ``cross_at`` is None (element
+distinctness), else between one below ``cross_at`` and one not (set
+intersection, A first).  ``sort_spans_gen`` is that move; the three
 runners only choose their spans and how a clean run ends.  On a realized
 instance the move's cost and first witness are functions of the values,
 so ``sort_spans`` computes them without a request; in adversary mode it
@@ -90,13 +92,13 @@ def drive_bounded(gen, oracle: CountingOracle, budget: int):
         used += 1
 
 
-def merge_sort_gen(items, witness=None):
+def merge_sort_gen(items, cross_at=None):
     """Merge sort over index lists.
 
-    ``witness(x, y)`` decides whether an EQ answer is a reportable
-    duplicate; by default every equality is.  Non-witness equalities are
-    treated as "left first" and sorting continues, so the output is a
-    stable total preorder.  Returns ('ok', sorted) or ('dup', x, y).
+    An EQ answer on (x, y) is a witness when ``cross_at`` is None, or
+    when exactly one of x and y is below ``cross_at``.  Other equalities
+    are treated as "left first" and sorting continues, so the output is
+    a stable total preorder.  Returns ('ok', sorted) or ('dup', x, y).
 
     A block of size b costs at most b*ceil(log2 b) comparisons, and if
     two equal witness-eligible elements are present the sort always
@@ -135,7 +137,8 @@ def merge_sort_gen(items, witness=None):
                     a[k:hi] = left[i:]
                     break
                 y = a[j]
-            elif ans is EQ and (witness is None or witness(x, y)):
+            elif ans is EQ and (cross_at is None
+                                or (x < cross_at) != (y < cross_at)):
                 return ("dup", x, y)
             else:
                 a[k] = x
@@ -150,26 +153,20 @@ def merge_sort_gen(items, witness=None):
 def sort_spans_gen(spans, end, cross_at=None, stats=None):
     """Merge sort each span of ``spans`` in turn, from scratch.
 
-    An EQ answer is a witness when ``cross_at`` is None, or when exactly
-    one of its two indices is below ``cross_at``; other ties go left
-    first and the sort goes on.  Returns (Outcome.DUPLICATE, (x, y)) at
-    the first witness, or (end, None) once the last span sorts clean.
-    stats["iterations"] counts the sorts started.  ``spans`` is any
-    iterable of spans, each any iterable of indices; it is advanced only
-    between sorts, so a request leaves from the merge's frame through
-    this one.
+    ``cross_at`` is ``merge_sort_gen``'s witness rule.  Returns
+    (Outcome.DUPLICATE, (x, y)) at the first witness, or (end, None)
+    once the last span sorts clean.  stats["iterations"] counts the
+    sorts started.  ``spans`` is any iterable of spans, each any
+    iterable of indices; it is advanced only between sorts, so a
+    request leaves from the merge's frame through this one.
 
     This is the reference for ``sort_spans``, and the form that games,
     duel opponents and the oblivious scheduler drive.
     """
-    witness = None
-    if cross_at is not None:
-        def witness(x, y):
-            return (x < cross_at) != (y < cross_at)
     for iters, span in enumerate(spans, 1):
         if stats is not None:
             stats["iterations"] = iters
-        res = yield from merge_sort_gen(span, witness)
+        res = yield from merge_sort_gen(span, cross_at)
         if res[0] == "dup":
             return Outcome.DUPLICATE, (res[1], res[2])
     return end, None
@@ -197,8 +194,8 @@ def sort_spans(oracle: CountingOracle, spans, end, cross_at=None, stats=None):
 
 
 def _span_cost(vals, a, cross_at):
-    """(comparisons, witness or None) of ``merge_sort_gen(a)`` with
-    ``cross_at``'s witness rule, when ``vals`` answers every request.
+    """(comparisons, witness or None) of ``merge_sort_gen(a, cross_at)``
+    when ``vals`` answers every request.
 
     Each merge depends only on the sorted values of its two halves, so
     the recursion returns those, in the generator's post-order, and

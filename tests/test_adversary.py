@@ -248,8 +248,7 @@ def test_si_game_merge_opponent_survives():
 
     def joint_sort(m):
         # one flat sort of A and B together; only cross ties matter
-        return merge_sort_gen(list(range(2 * m)),
-                              witness=lambda x, y: (x < m) != (y < m))
+        return merge_sort_gen(list(range(2 * m)), cross_at=m)
 
     rep = si_adversary_game(joint_sort, n)
     assert rep.rounds_played == n * 2 // 2  # l = 2 at n = 64

@@ -108,7 +108,7 @@ def kernel_case(kernel, n, dups) -> dict:
     if kernel == "sort":
         gens = [merge_sort_gen(range(n))]
     elif kernel == "sort-cross":
-        gens = [merge_sort_gen(range(n), witness=lambda x, y: (x < h) != (y < h))]
+        gens = [merge_sort_gen(range(n), cross_at=h)]
     else:
         gens = [select_gen(range(n), k) for k in sorted({1, (n + 1) // 2, n})]
     oracle = recording_oracle(vals)

@@ -29,8 +29,7 @@ def trivial(n):
 
 def joint_sort(n):
     # one flat sort of A and B together; only cross ties matter
-    return merge_sort_gen(list(range(2 * n)),
-                          witness=lambda x, y: (x < n) != (y < n))
+    return merge_sort_gen(list(range(2 * n)), cross_at=n)
 
 
 def si_doubling(n):

@@ -268,16 +268,50 @@ def test_cli_run_reports_an_out_of_range_witness(tmp_path, monkeypatch):
     assert res.stderr == "violation: witness (0,4) is not an equal pair\n"
 
 
-# A = 1, 2, 3 at indices 0..2 and B = 3 at index 3: only (2, 3) crosses;
-# (2, 2) and (-1, 3) read equal values from the wrong places
-@pytest.mark.parametrize("witness", [(2, 2), (-1, 3), (3, 3), (2, 4)])
+# A = 1, 1, 3 at indices 0..2 and B = 3 at index 3: only (2, 3) crosses;
+# (2, 2) and (-1, 3) read equal values from the wrong places, and (0, 1)
+# is an equal pair inside A
+SI_FILE = "A:\n1\n1\n3\nB:\n3\n"
+
+
+@pytest.mark.parametrize("witness", [(2, 2), (-1, 3), (3, 3), (2, 4), (0, 1)])
 def test_si_run_needs_an_a_index_then_a_b_index(witness, tmp_path,
                                                  monkeypatch):
     monkeypatch.setattr(harness, "si_doubling", _reporting(witness))
-    (tmp_path / "x.si").write_text("A:\n1\n2\n3\nB:\n3\n")
+    (tmp_path / "x.si").write_text(SI_FILE)
     _, _, violations = harness.cmd_si_run("doubling", tmp_path / "x.si")
     wa, wb = witness
     assert violations == [f"witness ({wa},{wb}) is not a crossing pair"]
+
+
+def test_si_run_refuses_a_disjoint_verdict_on_intersecting_inputs(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "si_doubling",
+                        lambda *args: RunReport(Outcome.DISTINCT, None, 1))
+    (tmp_path / "x.si").write_text(SI_FILE)
+    _, _, violations = harness.cmd_si_run("doubling", tmp_path / "x.si")
+    assert violations == ["disjoint verdict on intersecting inputs"]
+
+
+NO_WITNESS = "duplicate verdict without a witness"
+
+
+def test_duplicate_verdict_needs_a_witness(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "block_sorting", _reporting(None))
+    monkeypatch.setattr(harness, "si_doubling", _reporting(None))
+    (tmp_path / "x.inst").write_text("5\n1\n2\n5\n")
+    (tmp_path / "x.si").write_text(SI_FILE)
+    _, rows, violations = harness.cmd_run("block", Instance((5, 1, 2, 5)), k=2)
+    assert (rows[0][2:], violations) == (["duplicate", 1, "", ""], [NO_WITNESS])
+    _, rows, violations = harness.cmd_si_run("doubling", tmp_path / "x.si")
+    assert (rows[0][3:], violations) == (["duplicate", 1, "", ""], [NO_WITNESS])
+    for args in (["run", "--algo", "block", "--input", str(tmp_path / "x.inst")],
+                 ["si", "run", "--algo", "doubling",
+                  "--input", str(tmp_path / "x.si")]):
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert res.stderr == f"violation: {NO_WITNESS}\n"
 
 
 # --- CLI: gen ---------------------------------------------------------------

@@ -50,7 +50,7 @@ def test_merge_sort_matches_reference(values, data):
     for items in _cases(values, data):
         for h in cuts:
             wit = None if h is None else (lambda x, y: (x < h) != (y < h))
-            got = run(merge_sort_gen(items, wit), values)
+            got = run(merge_sort_gen(items, cross_at=h), values)
             assert got == run(brute_merge_sort_gen(items, wit), values)
 
 

@@ -4,17 +4,24 @@ sorted list in full before brute_merge_sort_gen sees it.  Requests,
 results and stats must agree exactly, including on n = 1 and 2 and on
 all-distinct inputs.  The runners that evaluate their spans on a
 realized instance (block_sorting, order_doubling, si_doubling) must
-report the reference's outcome, witness, request count and stats."""
+report the reference's outcome, witness, request count and stats, and
+so must clairvoyant, whose path and parameters the reference picks by
+full scans."""
+
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bruteforce import (brute_block_sorting_gen, brute_doubling_gen,
-                        brute_si_doubling_gen, recorded_run as run)
-from edlab.algorithms import (block_sorting, block_sorting_gen, doubling_gen,
-                              order_doubling)
+from bruteforce import (brute_block_sorting_gen, brute_cd, brute_doubling_gen,
+                        brute_median_recursion_gen, brute_select_L1,
+                        brute_select_L2, brute_si_doubling_gen,
+                        recorded_run as run)
+from edlab.algorithms import (block_sorting, block_sorting_gen, clairvoyant,
+                              doubling_gen, order_doubling)
 from edlab.core import CountingOracle, Instance
+from edlab.profiles import ClusterProfile
 from edlab.setint import si_doubling, si_doubling_gen
 
 
@@ -121,6 +128,46 @@ def test_span_runners_match_reference_on_instances(values, data):
         _report_matches(block_sorting(CountingOracle(inst), items, k),
                         brute_block_sorting_gen(items, k, ref_stats), values,
                         ref_stats)
+
+
+def _brute_clairvoyant(sizes):
+    """The reference run clairvoyant must match on a profile with these
+    sizes, and its stats: median recursion with L1 when its bound beats
+    the block bound, else block sorting with k = 2 D(L2)."""
+    n = sum(sizes)
+    sel1 = brute_select_L1(sizes)
+    L2, bound2 = brute_select_L2(sizes)
+    if sel1 is not None and sel1[1] < bound2:
+        stats = {"path": "median", "L": sel1[0], "bound": sel1[1]}
+        return brute_median_recursion_gen(range(n), sel1[0], stats), stats
+    k = 2 * brute_cd(sizes, L2)[1]
+    stats = {"path": "block", "L": L2, "k": k, "bound": bound2}
+    return brute_block_sorting_gen(range(n), k, stats), stats
+
+
+@st.composite
+def one_big_cluster(draw, max_n=150):
+    """A shuffled cluster of a third to a half of n values, the rest
+    distinct: the inputs on which clairvoyant takes its median path."""
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    big = draw(st.integers(n // 3, n // 2))
+    return draw(st.permutations([0] * big + list(range(1, n - big + 1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.one_of(instances(), one_big_cluster()))
+@example(values=[0])
+@example(values=[1, 1])
+@example(values=[1, 0])
+@example(values=list(range(70)))
+@example(values=[0] * 30 + list(range(1, 40)))  # median path
+@example(values=[6, 2, 5, 3, 4, 2, 0, 1, 6, 4, 4])
+def test_clairvoyant_matches_reference_on_instances(values):
+    sizes = list(Counter(values).values())
+    rep = clairvoyant(CountingOracle(Instance(tuple(values))),
+                      ClusterProfile(sizes))
+    ref_gen, ref_stats = _brute_clairvoyant(sizes)
+    _report_matches(rep, ref_gen, values, ref_stats)
 
 
 @settings(max_examples=200, deadline=None)

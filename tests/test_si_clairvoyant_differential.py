@@ -19,7 +19,7 @@ SIZES = (8, 64, 512)
 def _check(inst, i):
     na, nb = inst.na, inst.nb
     values = inst.a_values + inst.b_values
-    got = run(si_clairvoyant_gen(na, nb, i, na), values)
+    got = run(si_clairvoyant_gen(na, nb, i), values)
     ref = run(brute_si_clairvoyant_gen(na, nb, i), values)
     assert got == ref
     rep = si_clairvoyant(inst.oracle(), na, nb, i, na)
