@@ -148,7 +148,7 @@ def _brute_clairvoyant(sizes):
 @st.composite
 def one_big_cluster(draw, max_n=150):
     """A shuffled cluster of a third to a half of n values, the rest
-    distinct: the inputs on which clairvoyant takes its median path."""
+    distinct: inputs on which clairvoyant mostly takes its median path."""
     n = draw(st.integers(min_value=3, max_value=max_n))
     big = draw(st.integers(n // 3, n // 2))
     return draw(st.permutations([0] * big + list(range(1, n - big + 1))))
