@@ -179,7 +179,7 @@ def budgeted_median_branch_gen(n: int, i: int):
     C = 1
     while C <= cap:
         L = max(2, C >> i)
-        limit = max(0, (n // C).bit_length() - 1) if C <= n else 0
+        limit = max(0, (n // C).bit_length() - 1)
         del memo[limit:]
         st = {"small_calls": 0, "small_mass": 0}
         res = yield from _median_rec(items, L, C, st, memo, limit)
@@ -212,21 +212,18 @@ def oblivious_gen(n: int, branch_costs: Optional[dict] = None):
     The first witness wins mid-round; Distinct comes only from the
     doubling branch's full-sort certificate; a branch that gives up is
     dropped from the rotation.
+
+    Every branch asks before it can stop when n >= 2: `block:i` first
+    sorts a span of at least 2 indices, `double` first sorts range(2),
+    and `median:i` starts with L = 2 <= n, so its first select asks.
+    Priming is therefore one `next` per branch; a branch that stopped
+    there would surface as a RuntimeError, not be skipped.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    live = []
-    for label, gen in oblivious_branches(n):
-        if branch_costs is not None:
-            branch_costs[label] = 0
-        try:
-            req = next(gen)
-        except StopIteration as stop:
-            out = stop.value
-            if out[0] is not Outcome.GAVE_UP:
-                return out
-            continue
-        live.append([label, gen, req])
+    live = [[label, gen, next(gen)] for label, gen in oblivious_branches(n)]
+    if branch_costs is not None:
+        branch_costs.update((label, 0) for label, _, _ in live)
     while live:
         for slot in list(live):
             ans = yield slot[2]

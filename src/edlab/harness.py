@@ -222,6 +222,11 @@ def check_report(inst: Instance, rep, cross_at=None) -> Optional[str]:
 def cmd_gen(out_dir: str, clique_n: Optional[int] = None,
             random_m: Optional[int] = None, random_n: Optional[int] = None,
             seed: int = 0):
+    if clique_n is not None:
+        _at_least("--clique n", [clique_n], 1)
+    else:
+        _at_least("--profile-random n", [random_n], 1)
+        _at_least("--profile-random m", [random_m], 1, most=random_n)
     seed = effective_seed(seed)
     os.makedirs(out_dir, exist_ok=True)
     if clique_n is not None:
@@ -431,16 +436,13 @@ def bounds_row(pid: int, seed: int, nmax: int):
     linear_ok = check_linear_subset(prof)
     _, obj, _ = approx_L2_scan(prof)
     L2, opt = select_L2(prof)
-    factor = obj / opt if opt > 0 else 1.0
+    factor = obj / opt
     C2, D2 = cd(prof, L2)
-    block_ok: object = ""
-    err = None
-    if 2 * C2 < n and D2 > 0:
-        inst = realize_instance(prof, seed=derive_seed(seed, pid, 1))
-        rep = block_sorting(CountingOracle(inst), range(n), 2 * D2)
-        block_ok = (rep.outcome is Outcome.DUPLICATE
-                    and rep.stats["iterations"] <= 1 + math.ceil(C2 / D2))
-        err = check_report(inst, rep)
+    inst = realize_instance(prof, seed=derive_seed(seed, pid, 1))
+    rep = block_sorting(CountingOracle(inst), range(n), 2 * D2)
+    block_ok = (rep.outcome is Outcome.DUPLICATE
+                and rep.stats["iterations"] <= 1 + math.ceil(C2 / D2))
+    err = check_report(inst, rep)
     row = [pid, n, prof.m, linear_ok, f"{factor:.4f}", block_ok]
     bad = None
     if not linear_ok:
@@ -449,7 +451,7 @@ def bounds_row(pid: int, seed: int, nmax: int):
         bad = f"approximation factor {factor:.3f} > 3 on profile {pid}"
     elif err:
         bad = f"block sorting on profile {pid}: {err}"
-    elif block_ok is False:
+    elif not block_ok:
         bad = f"block iteration bound violated on profile {pid}"
     return row, bad
 

@@ -225,7 +225,7 @@ def si_clairvoyant_gen(na: int, nb: int, i: int):
         return Outcome.GAVE_UP, None
     res = yield from merge_sort_gen(rest, cross_at=na)  # A only: no witness
     order = res[1]
-    clusters = [[order[0]]] if order else []
+    clusters = [[order[0]]]
     for prev, cur in zip(order, order[1:]):
         ans = yield (prev, cur)
         if ans is EQ:

@@ -159,6 +159,13 @@ def test_reconstruct_after_short_game():
     assert replay_transcript(inst, state.transcript)
 
 
+@pytest.mark.parametrize("build", [pack_isomorphic, reconstruct])
+def test_a_profile_of_the_wrong_size_is_refused(build):
+    with pytest.raises(ValueError,
+                       match="^profile does not cover all elements$"):
+        build(fresh_state(8), ClusterProfile([4, 2, 1]))
+
+
 def test_reconstruct_needs_two_clusters():
     with pytest.raises(ValueError):
         reconstruct(fresh_state(4), ClusterProfile([4]))

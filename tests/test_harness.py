@@ -197,6 +197,17 @@ def test_run_algorithm_unknown_name():
         run_algorithm("quicksort", inst, ClusterProfile([2]))
 
 
+def test_duel_opponent_unknown_name():
+    with pytest.raises(ValueError,
+                       match="^no adversary opponent named 'quicksort'$"):
+        harness.duel_opponent("quicksort", ClusterProfile([2, 1]))
+
+
+def test_duel_refuses_n_other_than_the_profile_size():
+    with pytest.raises(ValueError, match="^profile covers 3 elements, not 4$"):
+        harness.cmd_duel("block", 4, ClusterProfile([2, 1]))
+
+
 def test_check_report_flags_bad_claims():
     inst = realize_instance(ClusterProfile([2, 1]), seed=4)
     x, y = [i for i in range(3)
@@ -291,6 +302,12 @@ def test_si_run_refuses_a_disjoint_verdict_on_intersecting_inputs(
     (tmp_path / "x.si").write_text(SI_FILE)
     _, _, violations = harness.cmd_si_run("doubling", tmp_path / "x.si")
     assert violations == ["disjoint verdict on intersecting inputs"]
+
+
+def test_si_run_unknown_name(tmp_path):
+    (tmp_path / "x.si").write_text(SI_FILE)
+    with pytest.raises(ValueError, match="^unknown si algorithm 'quicksort'$"):
+        harness.cmd_si_run("quicksort", tmp_path / "x.si")
 
 
 NO_WITNESS = "duplicate verdict without a witness"
@@ -510,6 +527,13 @@ def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
      "--ns expects comma-separated integers, got ','"),
     (["sweep-competitive", "--ns", ","],
      "--ns expects comma-separated integers, got ','"),
+    (["gen", "--clique", "n=0"], "--clique n must be at least 1, got 0"),
+    (["gen", "--profile-random", "m=0", "n=5"],
+     "--profile-random m must be in 1..5, got 0"),
+    (["gen", "--profile-random", "m=6", "n=5"],
+     "--profile-random m must be in 1..5, got 6"),
+    (["gen", "--profile-random", "m=1", "n=0"],
+     "--profile-random n must be at least 1, got 0"),
 ])
 def test_cli_bad_option_is_named_with_what_it_takes(args, message, tmp_path,
                                                    monkeypatch):
@@ -681,7 +705,7 @@ def test_cli_check_bounds_small():
     for row in rows[1:]:
         assert row[3] == "True"
         assert float(row[4]) <= 3.0
-        assert row[5] in ("True", "")
+        assert row[5] == "True"
 
 
 # --- CLI: set intersection --------------------------------------------------
@@ -704,6 +728,17 @@ def test_cli_si_run_both_algorithms(tmp_path):
     rows = parse_csv(res.output)
     assert rows[1][3] == "duplicate"
     assert int(rows[1][4]) <= 6.0 * 8
+
+
+def test_cli_si_clairvoyant_gives_up_off_the_family(tmp_path):
+    # all-distinct A: the median strip keeps 7 indices, not 8 - 5 = 3
+    path = tmp_path / "a8.si"
+    path.write_text("A:\n" + "".join(f"{v}\n" for v in range(1, 9)) + "B:\n3\n")
+    res = CliRunner().invoke(main, ["si", "run", "--algo", "clairvoyant",
+                                    "--input", str(path), "--i", "1"])
+    assert res.exit_code == 0, res.output
+    assert parse_csv(res.output)[1] == ["clairvoyant", "8", "1", "gave_up",
+                                        "26", "", ""]
 
 
 def test_cli_si_clairvoyant_needs_parameters(tmp_path):

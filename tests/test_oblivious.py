@@ -24,6 +24,14 @@ def test_branch_labels_at_256():
                       "double", "median:1", "median:2", "median:4", "median:8"]
 
 
+def test_every_branch_asks_before_it_can_stop():
+    # oblivious_gen primes each branch with one bare next()
+    for n in [*range(2, 301), *(2 ** e for e in range(9, 17))]:
+        for label, gen in oblivious_branches(n):
+            x, y = next(gen)
+            assert x != y and 0 <= x < n and 0 <= y < n, (n, label)
+
+
 def test_all_equal_wins_immediately():
     vals = [9] * 256
     rep = oblivious(oracle_for(vals))

@@ -76,7 +76,13 @@ def test_cd_edge_values(p):
 @example(p=ClusterProfile([7]))
 def test_piece_scan_equals_full_scan(p):
     assert select_L1(p) == brute_select_L1(p.sizes)
-    assert select_L2(p) == brute_select_L2(p.sizes)
+    L2, bound2 = select_L2(p)
+    assert (L2, bound2) == brute_select_L2(p.sizes)
+    # harness.bounds_row block-sorts at this cut with k = 2*D(L2) unguarded
+    C2, D2 = cd(p, L2)
+    assert 2 * C2 < p.n
+    assert D2 >= 1
+    assert bound2 >= 1
     assert lower_bound_median(p) == brute_lower_bound_median(p.sizes)
     assert lower_bound_block(p) == brute_lower_bound_block(p.sizes)
     assert lower_bound_combined(p) == brute_lower_bound_combined(p.sizes)

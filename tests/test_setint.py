@@ -223,6 +223,12 @@ def test_clairvoyant_rejects_non_family_shape():
         si_clairvoyant(inst.oracle(), 3, 3, 1, 3)
 
 
+def test_clairvoyant_refuses_n_other_than_na():
+    inst = realize_si_family(8, 1, seed=0)
+    with pytest.raises(ValueError, match="^canonical family instance expected$"):
+        si_clairvoyant(inst.oracle(), 8, 8, 1, 64)
+
+
 def test_clairvoyant_refuses_a_cube_outside_the_family():
     # 27 = 3^3, but the family needs n = 2^(3t)
     inst = SIInstance(tuple(range(27)), (0,))

@@ -45,6 +45,39 @@ def _off_family(inst, i, j):
     return SIInstance(a, tuple(w if x == v else x for x in inst.b_values))
 
 
+def _split_big(inst, i):
+    """A with one element of the big cluster moved to a fresh value: the
+    strip keeps one index too many."""
+    a = list(inst.a_values)
+    a[a.index(0)] = max(a + list(inst.b_values)) + 1
+    return SIInstance(tuple(a), inst.b_values)
+
+
+def _merge_cluster(inst, i):
+    """A with cluster i given the value of another type-1 cluster: no
+    cluster of size i is left."""
+    a = inst.a_values
+    v, w = (next(v for v in set(a) if a.count(v) == k)
+            for k in (i, 2 if i == 1 else 1))
+    return SIInstance(tuple(w if x == v else x for x in a), inst.b_values)
+
+
+# the off-family A sides reach the two give-ups before the B scan:
+# the strip keeping the wrong count, and no single cluster of size i
+@pytest.mark.parametrize("reshape", [_split_big, _merge_cluster])
+@pytest.mark.parametrize("n,i", [(n, i) for n in SIZES
+                                 for i in range(1, brute_cube_root(n) + 1)])
+def test_off_family_a_sides_give_up_like_the_reference(n, i, reshape):
+    inst = reshape(realize_si_family(n, i, seed=n + i), i)
+    values = inst.a_values + inst.b_values
+    got = run(si_clairvoyant_gen(n, inst.nb, i), values)
+    assert got == run(brute_si_clairvoyant_gen(n, inst.nb, i), values)
+    assert got[0] == (Outcome.GAVE_UP, None)
+    rep = si_clairvoyant(inst.oracle(), n, inst.nb, i, n)
+    assert (rep.outcome, rep.witness, rep.comparisons) == (*got[0],
+                                                           len(got[1]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.sampled_from(SIZES), partner_last=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1), off=st.booleans())

@@ -81,7 +81,8 @@ def test_sort_spans_replays_generator_transcript_in_adversary_mode():
 
 @pytest.mark.parametrize("cross_at", [None, 2])
 @pytest.mark.parametrize("span", [[0, 4], [1, -1], [0, 1, 2, 3, 9],
-                                  [0, 0], [2, 1, 3, 2], [3, 0, 1, 0]])
+                                  [0, 0], [2, 1, 3, 2], [3, 0, 1, 0],
+                                  [9, 0, 1], [-1, 0, 1]])
 def test_sort_spans_rejects_bad_indices(span, cross_at):
     oracle = CountingOracle(Instance((0, 1, 2, 3)))
     with pytest.raises(ValueError):
@@ -89,6 +90,13 @@ def test_sort_spans_rejects_bad_indices(span, cross_at):
     with pytest.raises(ValueError):
         drive(sort_spans_gen([span], Outcome.DISTINCT, cross_at),
               CountingOracle(Instance((0, 1, 2, 3))))
+
+
+@pytest.mark.parametrize("x", [9, -1])
+def test_sort_spans_names_an_out_of_range_index_in_a_one_item_leaf(x):
+    oracle = CountingOracle(Instance((0, 1, 2, 3)))
+    with pytest.raises(ValueError, match=f"^index out of range: {x} with n=4$"):
+        sort_spans(oracle, [[x, 0, 1]], Outcome.DISTINCT)
 
 
 class _Silent(CountingOracle):
