@@ -284,18 +284,16 @@ def clairvoyant(oracle: CountingOracle, profile: ClusterProfile) -> RunReport:
     and is taken as given; harness.run_algorithm checks a profile that
     comes from outside against its instance.
     """
-    n = profile.n
-    items = range(n)
+    items = range(profile.n)
     sel1 = select_L1(profile)
     L2, bound2 = select_L2(profile)
     if sel1 is not None and sel1[1] < bound2:
-        stats = {"path": "median", "L": sel1[0], "bound": sel1[1]}
-        rep = _run(oracle, median_recursion_gen(items, sel1[0], stats), stats)
+        rep = median_recursion(oracle, items, sel1[0])
+        rep.stats.update(path="median", L=sel1[0], bound=sel1[1])
     else:
         k = 2 * profile.d(L2)
-        stats = {"path": "block", "L": L2, "k": k, "bound": bound2}
-        rep = _run_spans(oracle, _block_spans(items, k), Outcome.GAVE_UP,
-                         stats)
+        rep = block_sorting(oracle, items, k)
+        rep.stats.update(path="block", L=L2, k=k, bound=bound2)
     return rep
 
 

@@ -83,9 +83,8 @@ def bound1_value(n: int, C: int, L: int) -> float:
 
 
 def bound2_value(C: int, D: int) -> float:
-    """(C(L)+D(L)) * max(1, log2 D(L))."""
-    if D <= 0:
-        return float(C)
+    """(C(L)+D(L)) * max(1, log2 D(L)).  Callers skip every L with
+    cap*C(L) >= n, so some cluster has size >= L and D(L) >= 1."""
     return (C + D) * max(1.0, math.log2(D))
 
 

@@ -174,11 +174,16 @@ def sort_spans_gen(spans, end, cross_at=None, stats=None):
 
 def sort_spans(oracle: CountingOracle, spans, end, cross_at=None, stats=None):
     """What ``drive(sort_spans_gen(spans, end, cross_at, stats), oracle)``
-    returns, with the same ``oracle.count`` and stats.
+    returns, with the same ``oracle.count`` and stats, on spans of
+    distinct indices in 0..n-1.
 
     An adversary-mode oracle drives that generator.  On a realized
     instance each span is evaluated from the values instead, with no
     request, and its cost is added to ``oracle.count`` once it is known.
+    There a span holding an index out of range or an index twice is
+    refused with ValueError before any of its merges, and its cost is
+    not charged; the generator refuses it only if a request reaches the
+    bad index.
     """
     vals = oracle._values
     if vals is None:
@@ -195,7 +200,8 @@ def sort_spans(oracle: CountingOracle, spans, end, cross_at=None, stats=None):
 
 def _span_cost(vals, a, cross_at):
     """(comparisons, witness or None) of ``merge_sort_gen(a, cross_at)``
-    when ``vals`` answers every request.
+    when ``vals`` answers every request, for ``a`` a list of distinct
+    indices in 0..len(vals)-1.
 
     Each merge depends only on the sorted values of its two halves, so
     the recursion returns those, in the generator's post-order, and
@@ -208,17 +214,19 @@ def _span_cost(vals, a, cross_at):
     generator's merges are stable), and the first of those EQs that is
     a witness ends the sort.
 
-    Bad indices raise ValueError, as ``compare`` would: one out of range
-    when it is read, a repeated one when its copies meet.  Copies on one
-    side of ``cross_at`` may meet at a merge whose ties are never
-    inspected, so with ``cross_at`` a repeat is refused before any merge.
+    Any other span is refused with ValueError before the first merge,
+    naming the first index out of range or the first index met a second
+    time.
     """
     n = len(vals)
+    if a and (min(a) < 0 or max(a) >= n):
+        x = next(x for x in a if not 0 <= x < n)
+        raise ValueError(f"index out of range: {x} with n={n}")
+    if len(set(a)) < len(a):
+        seen = set()
+        x = next(x for x in a if x in seen or seen.add(x))
+        raise ValueError(f"comparison of an index with itself: {x}")
     if cross_at is not None:
-        srt = sorted(a)
-        for x, y in zip(srt, srt[1:]):
-            if x == y:
-                raise ValueError(f"comparison of an index with itself: {x}")
         # the positions p where a[p - 1] and a[p] lie on different sides
         # of cross_at: a merge of a[lo:hi] holds both sides when one of
         # them lies in lo+1..hi-1
@@ -238,8 +246,6 @@ def _span_cost(vals, a, cross_at):
                 if vals[x] != v:
                     continue
                 t += 1
-                if x == y:
-                    raise ValueError(f"comparison of an index with itself: {x}")
                 if cross_at is None or (x < cross_at) != (y < cross_at):
                     cost += bisect_left(L, v) + bisect_left(R, v) + t
                     hit = (x, y)
@@ -251,25 +257,18 @@ def _span_cost(vals, a, cross_at):
         nonlocal cost, hit
         if hi - lo == 2:
             x, y = a[lo], a[lo + 1]
-            if not (0 <= x < n and 0 <= y < n):
-                raise ValueError(f"index out of range: ({x}, {y}) with n={n}")
             vx, vy = vals[x], vals[y]
             cost += 1
             if vx < vy:
                 return [vx, vy]
             if vx > vy:
                 return [vy, vx]
-            if x == y:
-                raise ValueError(f"comparison of an index with itself: {x}")
             if cross_at is None or (x < cross_at) != (y < cross_at):
                 hit = (x, y)
                 return None
             return [vx, vy]
         if hi - lo == 1:
-            x = a[lo]
-            if not 0 <= x < n:
-                raise ValueError(f"index out of range: {x} with n={n}")
-            return [vals[x]]
+            return [vals[a[lo]]]
         mid = (lo + hi) // 2
         L = run(lo, mid)
         if L is None:

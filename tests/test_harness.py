@@ -254,6 +254,114 @@ def test_bounds_row_checks_the_block_witness(monkeypatch):
     assert bad == f"block sorting on profile 0: {UNEQUAL}"
 
 
+# --- every other violation of the duel, the sweeps and the rows ---------------
+
+def test_gen_reports_an_instance_that_misses_its_profile(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(harness, "verify_graph", lambda *args: False)
+    _, violations = harness.cmd_gen(str(tmp_path), clique_n=3)
+    assert violations == ["generated instance does not realize its profile"]
+
+
+DUEL_PROFILE = ClusterProfile([8, 8, 4, 4, 2, 2] + [1] * 36)
+
+
+def _refuse(*args):
+    raise RuntimeError("no chain fits")
+
+
+def test_duel_reports_a_failed_reconstruction_inside_the_budget(monkeypatch):
+    monkeypatch.setattr(harness, "reconstruct", _refuse)
+    # the default budget, the one inside which reconstruction is guaranteed
+    _, rows, violations = harness.cmd_duel("block", 64, DUEL_PROFILE)
+    assert rows[0][4:] == [False, ""]
+    assert violations == ["reconstruction failed inside the guaranteed "
+                          "budget: no chain fits"]
+
+
+def test_duel_reports_an_instance_that_does_not_replay(monkeypatch):
+    monkeypatch.setattr(harness, "replay_transcript", lambda *args: False)
+    _, rows, violations = harness.cmd_duel("block", 64, DUEL_PROFILE, rounds=5)
+    assert rows[0][4] is False
+    assert violations == ["realized instance inconsistent with "
+                          "transcript/profile"]
+
+
+@pytest.mark.parametrize("name", ["clairvoyant", "oblivious"])
+def test_competitive_sweep_reports_a_missed_duplicate(name, monkeypatch):
+    monkeypatch.delenv("EDLAB_SEED", raising=False)
+    monkeypatch.setattr(harness, name,
+                        lambda *args: RunReport(Outcome.GAVE_UP, None, 1))
+    _, _, violations = harness.cmd_sweep_competitive([16], 1, 0)
+    assert violations == [f"{name} missed the duplicate on n=16 id=0"]
+
+
+def _halted_game(*args, _play=harness.play_game):
+    """The real game, with the opponent marked as stopped inside it."""
+    state = _play(*args)
+    state.halted = (Outcome.GAVE_UP, None)
+    return state
+
+
+class _HugeC(ClusterProfile):
+    """A profile whose C(L) exceeds every n."""
+
+    def c(self, L):
+        return 2 ** 40
+
+
+@pytest.mark.parametrize("name, stand_in, message", [
+    ("play_game", _halted_game,
+     "opponent finished inside the round budget at n=16"),
+    ("median_recursion", lambda *args: RunReport(Outcome.GAVE_UP, None, 1),
+     "median recursion failed on the realized instance at n=16"),
+    ("ClusterProfile", _HugeC, "C(L) exceeded n/2^(i-3) at n=16"),
+    ("replay_transcript", lambda *args: False,
+     "realized instance inconsistent at n=16"),
+], ids=["halted", "gave-up", "huge-C", "no-replay"])
+def test_separation_row_reports_each_violation(name, stand_in, message,
+                                               monkeypatch):
+    monkeypatch.setattr(harness, name, stand_in)
+    _, bad, _ = harness.separation_row(16)
+    assert bad == message
+
+
+@pytest.mark.parametrize("ns, ratios, violations", [
+    ([16, 32], [0.2, 0.1], ["separation ratio not non-decreasing in n"]),
+    ([16, 32], [0.1, 0.2], []),
+    ([32, 16], [0.2, 0.1], []),  # unsorted sizes are not checked
+])
+def test_separation_sweep_checks_the_ratio_order_on_sorted_sizes(
+        ns, ratios, violations, monkeypatch):
+    ratio_at = dict(zip(ns, ratios))
+    monkeypatch.setattr(harness, "separation_row",
+                        lambda n: ([n], None, ratio_at[n]))
+    _, rows, got = harness.cmd_sweep_separation(ns)
+    assert rows == [[n] for n in ns]
+    assert got == violations
+
+
+def _iterations_past_the_bound(*args):
+    rep = algorithms.block_sorting(*args)
+    rep.stats["iterations"] = 10 ** 6
+    return rep
+
+
+@pytest.mark.parametrize("name, stand_in, message", [
+    ("check_linear_subset", lambda prof: False,
+     "linear-subset inequality failed on profile 0"),
+    ("approx_L2_scan", lambda prof: (1, 4 * harness.select_L2(prof)[1], 0),
+     "approximation factor 4.000 > 3 on profile 0"),
+    ("block_sorting", _iterations_past_the_bound,
+     "block iteration bound violated on profile 0"),
+], ids=["linear-subset", "approx-factor", "block-iterations"])
+def test_bounds_row_reports_each_violation(name, stand_in, message,
+                                           monkeypatch):
+    monkeypatch.setattr(harness, name, stand_in)
+    _, bad = harness.bounds_row(0, 1, 64)
+    assert bad == message
+
+
 def _reporting(witness):
     """A runner stand-in that reports a duplicate with ``witness``."""
     return lambda *args: RunReport(Outcome.DUPLICATE, witness, 1)

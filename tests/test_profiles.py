@@ -137,7 +137,8 @@ def test_approx_L2_within_factor_three(p):
     _, opt = brute_select_L2(p.sizes)
     t, obj, count = approx_L2_scan(p)
     assert 2 * p.c(t) < p.n  # feasibility of the returned cut
-    vt = (p.c(t) + p.d(t)) * max(1.0, math.log2(p.d(t))) if p.d(t) else float(p.c(t))
+    assert p.d(t) >= 1  # so bound2_value never sees D = 0
+    vt = (p.c(t) + p.d(t)) * max(1.0, math.log2(p.d(t)))
     assert obj == vt
     assert obj <= 3 * opt
     assert count <= 30 * p.m + 10

@@ -4,7 +4,9 @@ On a realized instance sort_spans evaluates each span from the values;
 result, oracle.count and stats must equal what driving sort_spans_gen
 gives.  In adversary mode it drives that generator, so the transcript
 is the generator's.  The span runners must then issue no request at all
-on a realized instance.
+on a realized instance.  Both forms agree on spans of distinct in-range
+indices; on a realized instance any other span is refused before its
+first merge.
 """
 
 import pytest
@@ -97,6 +99,31 @@ def test_sort_spans_names_an_out_of_range_index_in_a_one_item_leaf(x):
     oracle = CountingOracle(Instance((0, 1, 2, 3)))
     with pytest.raises(ValueError, match=f"^index out of range: {x} with n=4$"):
         sort_spans(oracle, [[x, 0, 1]], Outcome.DISTINCT)
+
+
+# Over values 5, 5, 1, 2 the first merge of [0, 1, 2, 9] and [0, 1, 2, 2]
+# meets the equal pair (0, 1), a witness unless cross_at = 2 puts both
+# below the cut; the bad index sits past it.  A bad span is refused
+# before any merge, whatever the witness rule and wherever it sits.
+@pytest.mark.parametrize("cross_at", [None, 2])
+@pytest.mark.parametrize("span, message", [
+    ([0, 1, 2, 9], "index out of range: 9 with n=4"),
+    ([0, 1, 2, 2], "comparison of an index with itself: 2"),
+    ([9], "index out of range: 9 with n=4")],
+    ids=["late-out-of-range", "late-repeat", "one-item"])
+def test_sort_spans_refuses_a_bad_span_before_any_merge(span, message,
+                                                        cross_at):
+    oracle = CountingOracle(Instance((5, 5, 1, 2)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sort_spans(oracle, [span], Outcome.DISTINCT, cross_at)
+    assert oracle.count == 0
+
+
+def test_block_sorting_refuses_an_out_of_range_index_before_any_merge():
+    oracle = CountingOracle(Instance((5, 5, 1, 2)))
+    with pytest.raises(ValueError, match="^index out of range: 9 with n=4$"):
+        block_sorting(oracle, [0, 1, 2, 9], 4)
+    assert oracle.count == 0
 
 
 class _Silent(CountingOracle):
