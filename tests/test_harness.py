@@ -254,7 +254,7 @@ def test_bounds_row_checks_the_block_witness(monkeypatch):
     assert bad == f"block sorting on profile 0: {UNEQUAL}"
 
 
-# --- every other violation of the duel, the sweeps and the rows ---------------
+# --- every other violation of gen, the duel, the sweeps and the rows ----------
 
 def test_gen_reports_an_instance_that_misses_its_profile(tmp_path,
                                                          monkeypatch):
