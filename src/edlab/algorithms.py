@@ -3,12 +3,13 @@
 Every algorithm here is written as a request generator (see sortsel) and
 wrapped by a small runner that produces a RunReport.  Block sorting and
 prefix doubling are series of span sorts: their runners hand the spans to
-``sortsel.sort_spans``, which evaluates them on a realized instance
-without a request and drives the generator otherwise.  The oblivious
-runner multiplexes many branch generators through a round-robin
-scheduler that charges exactly one oracle comparison per live branch
-per round; the scheduler is itself a generator, so adversary games can
-drive it with a comparison budget.
+``run_spans``, whose ``sortsel.sort_spans`` evaluates them on a realized
+instance without a request and drives the generator otherwise.
+``setint`` runs set-intersection doubling on ``doubling_spans`` and
+``run_spans`` too.  The oblivious runner multiplexes many branch
+generators through a round-robin scheduler that charges exactly one
+oracle comparison per live branch per round; the scheduler is itself a
+generator, so adversary games can drive it with a comparison budget.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def block_sorting_gen(items, k: int, stats: Optional[dict] = None):
     A plain function that returns the `sort_spans_gen` generator over
     `_block_spans`; a k below 1 therefore raises here, when this is
     called, not at the first request.  The runner `block_sorting` sorts
-    the same spans through `sort_spans`.
+    the same spans through `run_spans`.
     """
     return sort_spans_gen(_block_spans(items, k), Outcome.GAVE_UP, stats=stats)
 
@@ -126,11 +127,15 @@ def median_recursion_gen(items, L: int, stats: Optional[dict] = None):
     return _median_rec(items, L, math.inf, st, [], 0)
 
 
-def _doubling_spans(n: int):
-    """The first min(n, k) indices for k = 2, 4, 8, ..., up to the first
-    k >= n."""
-    last = ceil_log2(max(2, n))  # the first k >= n is 2**last
-    return (range(min(n, 2 ** e)) for e in range(1, last + 1))
+def doubling_spans(na: int, nb: int = 0):
+    """The prefixes of prefix doubling: the first min(na, k) indices,
+    then the first min(nb, k) indices from na on, for k = 2, 4, 8, ...,
+    up to the first k >= na, nb.  Element distinctness sorts its n
+    indices with nb = 0; set intersection sorts A's na indices together
+    with B's nb, which follow them."""
+    last = ceil_log2(max(2, na, nb))  # the first k >= na, nb is 2**last
+    return (chain(range(min(na, 2 ** e)), range(na, na + min(nb, 2 ** e)))
+            for e in range(1, last + 1))
 
 
 def doubling_gen(n: int):
@@ -140,10 +145,10 @@ def doubling_gen(n: int):
     certifies Distinct.  Order-competitive against adversaries that
     must commit early positions, and also the only branch of the
     oblivious runner that can certify Distinct.  A plain function that
-    returns the `sort_spans_gen` generator over `_doubling_spans`; the
-    runner `order_doubling` sorts the same spans through `sort_spans`.
+    returns the `sort_spans_gen` generator over `doubling_spans`; the
+    runner `order_doubling` sorts the same spans through `run_spans`.
     """
-    return sort_spans_gen(_doubling_spans(n), Outcome.DISTINCT)
+    return sort_spans_gen(doubling_spans(n), Outcome.DISTINCT)
 
 
 # --- budgeted median recursion with memoized top levels --------------------
@@ -249,16 +254,20 @@ def _run(oracle: CountingOracle, gen, stats=None, branch_costs=None) -> RunRepor
                      branch_costs=branch_costs or {}, stats=stats or {})
 
 
-def _run_spans(oracle: CountingOracle, spans, end, stats=None) -> RunReport:
+def run_spans(oracle: CountingOracle, spans, end, cross_at=None,
+              stats=None) -> RunReport:
+    """The report of ``sort_spans``: the runner of every span sort, for
+    element distinctness and, with ``cross_at``, set intersection."""
     start = oracle.count
-    outcome, witness = sort_spans(oracle, spans, end, stats=stats)
+    outcome, witness = sort_spans(oracle, spans, end, cross_at, stats)
     return RunReport(outcome=outcome, witness=witness,
                      comparisons=oracle.count - start, stats=stats or {})
 
 
 def block_sorting(oracle: CountingOracle, items, k: int) -> RunReport:
     stats = {}
-    return _run_spans(oracle, _block_spans(items, k), Outcome.GAVE_UP, stats)
+    return run_spans(oracle, _block_spans(items, k), Outcome.GAVE_UP,
+                     stats=stats)
 
 
 def median_recursion(oracle: CountingOracle, items, L: int) -> RunReport:
@@ -267,7 +276,7 @@ def median_recursion(oracle: CountingOracle, items, L: int) -> RunReport:
 
 
 def order_doubling(oracle: CountingOracle, n: int) -> RunReport:
-    return _run_spans(oracle, _doubling_spans(n), Outcome.DISTINCT)
+    return run_spans(oracle, doubling_spans(n), Outcome.DISTINCT)
 
 
 def oblivious(oracle: CountingOracle, n: Optional[int] = None) -> RunReport:

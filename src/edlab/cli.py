@@ -177,8 +177,7 @@ def si():
 
 
 @si.command("run")
-@click.option("--algo", type=click.Choice(["doubling", "clairvoyant"]),
-              required=True)
+@click.option("--algo", type=click.Choice(harness.SI_ALGOS), required=True)
 @click.option("--input", "input_path", type=click.Path(exists=True),
               required=True)
 @click.option("--i", "i_param", type=int, default=None)

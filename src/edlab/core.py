@@ -161,10 +161,16 @@ def replay_transcript(instance: Instance, transcript: Iterable) -> bool:
 
 # --- file format: one decimal rank per line --------------------------------
 
-def write_instance(path, instance: Instance) -> None:
+def write_lines(path, lines) -> None:
+    """Write each item of ``lines`` on a line of its own: the format of
+    instance, profile and (with its section headers) ``.si`` files."""
     with open(path, "w", encoding="utf-8") as fh:
-        for v in instance.values:
-            fh.write(f"{v}\n")
+        for line in lines:
+            fh.write(f"{line}\n")
+
+
+def write_instance(path, instance: Instance) -> None:
+    write_lines(path, instance.values)
 
 
 def parse_int_line(path, lineno: int, text: str) -> int:

@@ -34,6 +34,7 @@ from .setint import read_si_instance, si_clairvoyant, si_doubling, si_shape
 RUN_ALGOS = ("block", "median", "clairvoyant", "oblivious", "preprocessed",
              "doubling")
 DUEL_ALGOS = ("block", "median", "oblivious", "doubling")
+SI_ALGOS = ("doubling", "clairvoyant")
 
 
 def effective_seed(seed: int) -> int:

@@ -18,7 +18,7 @@ from bisect import bisect_left
 from itertools import accumulate
 from typing import Optional
 
-from .core import read_int_lines
+from .core import read_int_lines, write_lines
 from .sortsel import EQ, GT, LT, drive_with, select_gen
 
 
@@ -286,9 +286,7 @@ def check_linear_subset(profile: ClusterProfile) -> bool:
 # --- profile file format: one decimal cluster size per line ---------------
 
 def write_profile(path, profile: ClusterProfile) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in profile.sizes:
-            fh.write(f"{s}\n")
+    write_lines(path, profile.sizes)
 
 
 def read_profile(path) -> ClusterProfile:

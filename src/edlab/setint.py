@@ -13,10 +13,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
+from .algorithms import doubling_spans, run_spans
 from .core import (CountingOracle, Instance, Outcome, RunReport,
-                   ceil_log2, parse_int_line)
-from .sortsel import (EQ, drive, merge_sort_gen, select_gen, sort_spans,
-                      sort_spans_gen)
+                   parse_int_line, write_lines)
+from .sortsel import EQ, drive, merge_sort_gen, select_gen, sort_spans_gen
 
 
 @dataclass(frozen=True)
@@ -165,15 +165,6 @@ def realize_si_family(n: int, i: int, seed: int = 0,
     return inst
 
 
-def _si_spans(na: int, nb: int):
-    """The joint prefixes of si_doubling: the first min(na, k) A-indices,
-    then the first min(nb, k) B-indices, for k = 2, 4, 8, ..., up to the
-    first k >= na, nb."""
-    last = ceil_log2(max(2, na, nb))  # the first k >= na, nb is 2**last
-    return (chain(range(min(na, 2 ** e)), range(na, na + min(nb, 2 ** e)))
-            for e in range(1, last + 1))
-
-
 def si_doubling_gen(na: int, nb: int):
     """Joint-sort growing prefixes of both sides; cross EQ is a witness.
 
@@ -183,22 +174,21 @@ def si_doubling_gen(na: int, nb: int):
     both sides) certifies disjointness: any cross-equal pair in a fully
     sorted multiset gets directly compared during some merge.  A plain
     function that returns the `sort_spans_gen` generator over
-    `_si_spans`, with ``cross_at=na``; the runner `si_doubling` sorts
-    the same spans through `sort_spans`.
+    ``doubling_spans(na, nb)``, with ``cross_at=na``; the runner
+    `si_doubling` sorts the same spans through `run_spans`.
 
     The witness comes out as (A index, B index) with no reordering.  A
     merge asks (left item, right item), and its left span precedes its
     right span in the list, where all A-indices precede all B-indices:
     a right span that holds an A-index has a left span of A-indices.
     """
-    return sort_spans_gen(_si_spans(na, nb), Outcome.DISTINCT, cross_at=na)
+    return sort_spans_gen(doubling_spans(na, nb), Outcome.DISTINCT,
+                          cross_at=na)
 
 
 def si_doubling(oracle: CountingOracle, na: int, nb: int) -> RunReport:
-    start = oracle.count
-    outcome, witness = sort_spans(oracle, _si_spans(na, nb), Outcome.DISTINCT,
-                                  cross_at=na)
-    return RunReport(outcome, witness, oracle.count - start)
+    return run_spans(oracle, doubling_spans(na, nb), Outcome.DISTINCT,
+                     cross_at=na)
 
 
 def si_clairvoyant_gen(na: int, nb: int, i: int):
@@ -255,13 +245,7 @@ def si_clairvoyant(oracle: CountingOracle, na: int, nb: int, i: int,
 # --- file format: "A:" section then "B:" section, decimal ranks -----------
 
 def write_si_instance(path, inst: SIInstance) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("A:\n")
-        for v in inst.a_values:
-            fh.write(f"{v}\n")
-        fh.write("B:\n")
-        for v in inst.b_values:
-            fh.write(f"{v}\n")
+    write_lines(path, chain(["A:"], inst.a_values, ["B:"], inst.b_values))
 
 
 def read_si_instance(path) -> SIInstance:

@@ -751,6 +751,63 @@ def brute_si_doubling_gen(na: int, nb: int):
         k *= 2
 
 
+# --- reference oblivious scheduler --------------------------------------------
+# The round-robin scheduler as it stood before its priming pass was cut
+# to one bare next() per branch: a branch that stops while primed is
+# dropped, or ends the run with its verdict.  It rotates the reference
+# branches, with the package's labels and the same k and i schedule.
+
+def brute_oblivious_branches(n: int):
+    imax = ceil_log2(ceil_log2(n))
+    branches = []
+    for i in range(imax + 1):
+        k = 2 * 2 ** (2 ** i)
+        branches.append((f"block:{i}", brute_block_sorting_gen(range(n), k)))
+    branches.append(("double", brute_doubling_gen(n)))
+    i = 1
+    while i <= 2 ** imax:
+        branches.append((f"median:{i}",
+                         brute_budgeted_median_branch_gen(n, i)))
+        i *= 2
+    return branches
+
+
+def brute_oblivious_gen(n: int, branch_costs: Optional[dict] = None):
+    """Round-robin over all branches, one comparison per branch per round.
+
+    The first witness wins mid-round; Distinct comes only from the
+    doubling branch's full-sort certificate; a branch that gives up is
+    dropped from the rotation.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    live = []
+    for label, gen in brute_oblivious_branches(n):
+        if branch_costs is not None:
+            branch_costs[label] = 0
+        try:
+            req = next(gen)
+        except StopIteration as stop:
+            out = stop.value
+            if out[0] is not Outcome.GAVE_UP:
+                return out
+            continue
+        live.append([label, gen, req])
+    while live:
+        for slot in list(live):
+            ans = yield slot[2]
+            if branch_costs is not None:
+                branch_costs[slot[0]] += 1
+            try:
+                slot[2] = slot[1].send(ans)
+            except StopIteration as stop:
+                out = stop.value
+                if out[0] is not Outcome.GAVE_UP:
+                    return out
+                live.remove(slot)
+    return Outcome.GAVE_UP, None
+
+
 # --- reference structure-aware set-intersection solver ----------------------
 # si_clairvoyant written plainly on the reference kernels: every list is
 # built in full, the big cluster's size comes from brute_cube_root, and

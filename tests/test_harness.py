@@ -80,6 +80,14 @@ def test_power_law_sizes_exact_budget():
         assert all(s >= 1 for s in sizes)
 
 
+@pytest.mark.parametrize("m", [0, 11])
+def test_power_law_sizes_refuses_m_outside_1_to_n(m):
+    # cmd_gen refuses these values first, naming the option; the helper's
+    # own check is what a library caller meets
+    with pytest.raises(ValueError, match=r"^need 1 <= m <= n$"):
+        power_law_sizes(random.Random(0), m, 10)
+
+
 def test_profile_of_instance_recovers_multiset():
     prof = ClusterProfile([3, 2, 1, 1])
     inst = realize_instance(prof, seed=9)

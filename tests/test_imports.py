@@ -1,5 +1,6 @@
-"""Every imported name is used, and every private module-level name of
-the package is read: AST scans over the package and tests."""
+"""Every imported name is used, every private module-level name of the
+package is read, and no package module imports another's private name:
+AST scans over the package and tests."""
 
 import ast
 from pathlib import Path
@@ -72,3 +73,18 @@ def test_every_private_helper_is_read():
     unread = [f"{name}:{helper}" for name, helper in defined
               if helper not in read]
     assert unread == [], f"private helpers never read in the package: {unread}"
+
+
+def test_no_module_imports_a_siblings_private_name():
+    # a name another module needs is public: `from .x import _name` is
+    # the sign that a helper should be renamed, not reached into
+    reached = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reached += [f"{path.name}: from {'.' * node.level}{node.module or ''} "
+                    f"import {alias.name}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.level or (node.module or "").startswith("edlab"))
+                    for alias in node.names if alias.name.startswith("_")]
+    assert reached == [], f"private names imported across modules: {reached}"

@@ -1,9 +1,11 @@
-"""Parallel-branch runner: branch layout, fair scheduling, certificates."""
+"""Parallel-branch runner: branch layout, fair scheduling, certificates,
+and a differential test against the reference scheduler in bruteforce.py."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bruteforce import brute_oblivious_gen, recorded_run
 from edlab.algorithms import (budgeted_median_branch_gen, oblivious,
                               oblivious_branches, oblivious_gen)
 from edlab.core import CountingOracle, Instance, Outcome, realize_instance
@@ -66,6 +68,33 @@ def test_rejects_tiny_n():
     o = oracle_for([1, 2])
     with pytest.raises(ValueError):
         drive(oblivious_gen(1), o)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        drive(brute_oblivious_gen(1), o)
+
+
+@st.composite
+def instances(draw, max_n=200):
+    """Values for n in 2..max_n: all distinct, or drawn from a small
+    range so ties are everywhere."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    if draw(st.booleans()):
+        return draw(st.permutations(range(n)))
+    hi = draw(st.integers(min_value=0, max_value=max(1, n // 4)))
+    return draw(st.lists(st.integers(0, hi), min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=instances())
+@example(values=[0, 1])
+@example(values=[4, 4])
+@example(values=[2, 0, 1])
+@example(values=[1, 0, 1])
+def test_oblivious_matches_reference(values):
+    n = len(values)
+    costs, brute_costs = {}, {}
+    got = recorded_run(oblivious_gen(n, costs), values)
+    assert got == recorded_run(brute_oblivious_gen(n, brute_costs), values)
+    assert costs == brute_costs
 
 
 @settings(max_examples=40, deadline=None)
