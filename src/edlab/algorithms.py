@@ -21,7 +21,8 @@ from typing import Optional
 
 from .core import Answer, CountingOracle, Outcome, RunReport, ceil_log2
 from .profiles import ClusterProfile, approx_L2_scan, select_L1, select_L2
-from .sortsel import EQ, LT, drive, select_gen, sort_spans, sort_spans_gen
+from .sortsel import (EQ, LT, check_indices, drive, select, select_gen,
+                      select_values, sort_spans, sort_spans_gen)
 
 
 # --- kernels ---------------------------------------------------------------
@@ -271,8 +272,47 @@ def block_sorting(oracle: CountingOracle, items, k: int) -> RunReport:
 
 
 def median_recursion(oracle: CountingOracle, items, L: int) -> RunReport:
+    """The report of ``median_recursion_gen``.
+
+    An adversary-mode oracle drives the generator.  On a realized
+    instance `_median_rec`'s loop runs on the values, with no request:
+    each call selects its pivot with ``select_values`` and partitions in
+    two passes that stand for its len(items) - 1 requests.  A partition
+    that meets an item other than the pivot with the pivot's value stops
+    at the first such item, charged the requests up to it.  Indices out
+    of range or repeated are refused before anything is charged.
+    """
     stats = {}
-    return _run(oracle, median_recursion_gen(items, L, stats), stats)
+    gen = median_recursion_gen(items, L, stats)  # refuses L < 1, zeroes stats
+    vals = oracle._values
+    if vals is None:
+        return _run(oracle, gen, stats)
+    check_indices(len(vals), items)
+    start = oracle.count
+    outcome, witness = Outcome.GAVE_UP, None
+    stack = [items]
+    while stack:
+        items = stack.pop()
+        if len(items) < L:
+            if items:
+                stats["small_calls"] += 1
+                stats["small_mass"] += len(items)
+            continue
+        med, cost = select_values(vals, items, (len(items) + 1) // 2)
+        pv = vals[med]
+        less = [it for it in items if vals[it] < pv]
+        greater = [it for it in items if vals[it] > pv]
+        if len(less) + len(greater) + 1 < len(items):
+            others = [it for it in items if it != med]
+            p = next(p for p, it in enumerate(others) if vals[it] == pv)
+            oracle.count += cost + p + 1
+            outcome, witness = Outcome.DUPLICATE, (others[p], med)
+            break
+        oracle.count += cost + len(items) - 1
+        stack.append(greater)
+        stack.append(less)
+    return RunReport(outcome=outcome, witness=witness,
+                     comparisons=oracle.count - start, stats=stats)
 
 
 def order_doubling(oracle: CountingOracle, n: int) -> RunReport:
@@ -344,7 +384,7 @@ def run_preprocessed(plan: PreprocessedPlan, oracle: CountingOracle) -> RunRepor
 
 def select_kth(oracle: CountingOracle, items, k: int):
     """Deterministic linear selection (median of medians, groups of 5)."""
-    return drive(select_gen(items, k), oracle)
+    return select(oracle, items, k)
 
 
 def order_baseline(oracle: CountingOracle, n: int, k: int) -> RunReport:

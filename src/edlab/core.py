@@ -4,11 +4,14 @@ Every algorithm in this package works in the comparison model: inputs are
 lists of opaque values that may only be inspected through three-way
 comparisons.  Values are realized as integer ranks, but only realization
 and verification code is allowed to look at them; algorithms receive an
-oracle plus index lists and nothing else.  The one other reader is
-``sortsel.sort_spans``: on a realized instance it computes what a merge
-sort of each span would cost, and where it would stop, from the values.
-A merge's answers are fixed by the values, so that cost is exactly the
-count the comparisons would have made, and the oracle is charged it.
+oracle plus index lists and nothing else.  The other readers are the
+value evaluators ``sortsel.sort_spans``, ``sortsel.select``,
+``algorithms.median_recursion`` and ``setint.si_clairvoyant``: on a
+realized instance each computes what its request generator would cost,
+and where it would stop, from the values.  The generator's answers are
+fixed by the values, so that cost is exactly the count its comparisons
+would have made, and the oracle is charged it.  ``tests/test_imports.py``
+holds the list of readers.
 
 The oracle counts every comparison.  It records a transcript only when
 an adversary answers: a game's transcript is what replay checks against

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 
 from .algorithms import doubling_spans, run_spans
 from .core import (CountingOracle, Instance, Outcome, RunReport,
                    parse_int_line, write_lines)
-from .sortsel import EQ, drive, merge_sort_gen, select_gen, sort_spans_gen
+from .sortsel import (EQ, check_indices, drive, merge_sort_gen, select_gen,
+                      select_values, sort_spans, sort_spans_gen)
 
 
 @dataclass(frozen=True)
@@ -235,10 +236,45 @@ def si_clairvoyant_gen(na: int, nb: int, i: int):
 
 def si_clairvoyant(oracle: CountingOracle, na: int, nb: int, i: int,
                    n: int) -> RunReport:
+    """The report of ``si_clairvoyant_gen(na, nb, i)``.
+
+    An adversary-mode oracle drives the generator.  On a realized
+    instance each step is evaluated from the values, with no request,
+    and charged the requests the generator would make: the select, the
+    strip (na - 1), the A-only sort through ``sort_spans``, the
+    adjacency scan (one fewer than the items sorted) and the B probe up
+    to its first equal.  Indices 0..na+nb-1 must all exist; that is
+    checked before anything is charged.
+    """
     if n != na:
         raise ValueError("canonical family instance expected")
     start = oracle.count
-    outcome, witness = drive(si_clairvoyant_gen(na, nb, i), oracle)
+    vals = oracle._values
+    if vals is None:
+        outcome, witness = drive(si_clairvoyant_gen(na, nb, i), oracle)
+        return RunReport(outcome, witness, oracle.count - start)
+    _, big = si_shape(na)
+    check_indices(len(vals), range(na + nb))
+    med, cost = select_values(vals, range(na), (na + 1) // 2)
+    pv = vals[med]
+    rest = [a for a in range(na) if vals[a] != pv]
+    oracle.count += cost + na - 1
+    outcome, witness = Outcome.GAVE_UP, None
+    if len(rest) == na - big:
+        sort_spans(oracle, [rest], Outcome.DISTINCT, cross_at=na)
+        order = sorted(rest, key=vals.__getitem__)
+        oracle.count += len(order) - 1
+        runs = [list(g) for _, g in groupby(order, vals.__getitem__)]
+        sized = [run for run in runs if len(run) == i]
+        if len(sized) == 1:
+            probe = sized[0][0]
+            try:
+                hit = vals.index(vals[probe], na, na + nb)
+            except ValueError:  # B does not hold the probe's value
+                oracle.count += nb
+            else:
+                oracle.count += hit - na + 1
+                outcome, witness = Outcome.DUPLICATE, (probe, hit)
     return RunReport(outcome, witness, oracle.count - start)
 
 

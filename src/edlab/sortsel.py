@@ -20,7 +20,9 @@ intersection, A first).  ``sort_spans_gen`` is that move; the three
 runners only choose their spans and how a clean run ends.  On a realized
 instance the move's cost and first witness are functions of the values,
 so ``sort_spans`` computes them without a request; in adversary mode it
-drives ``sort_spans_gen``.
+drives ``sort_spans_gen``.  ``select`` does the same for ``select_gen``,
+through ``select_values``, which median recursion and SI clairvoyant
+also use for their pivots.
 
 Driver contract.  Every request is an ``(x, y)`` pair.  A driver binds
 the generator's ``send`` once per run and unpacks each request into two
@@ -28,11 +30,14 @@ arguments, so the per-comparison call is a plain two-argument call.  It
 looks up ``oracle.compare`` afresh on every request, though, and must
 keep doing so: a caller may swap ``CountingOracle.compare`` on the class
 in the middle of a run (the benchmark's tracer does, to time the first
-comparison of a run), and the swap has to reach the next request.  The
-span runners (block sorting, prefix doubling, the SI joint sort and
-clairvoyant's block path) issue no request at all in instance mode, so
-the contract reaches them only in adversary mode.  Games, duel opponents
-and the oblivious scheduler always go through the drivers, and
+comparison of a run), and the swap has to reach the next request.  In
+instance mode no runner but the oblivious scheduler issues a request:
+the span runners (block sorting, prefix doubling, the SI joint sort),
+median recursion, clairvoyant on both paths, preprocessed runs,
+selection and SI clairvoyant are evaluated from the values, so the
+contract reaches them only in adversary mode (``order_baseline`` still
+makes its one confirming comparison).  Games, duel opponents and the
+oblivious scheduler always go through the drivers, and
 ``test_drivers_look_up_compare_per_request`` checks the contract there.
 """
 
@@ -198,6 +203,27 @@ def sort_spans(oracle: CountingOracle, spans, end, cross_at=None, stats=None):
     return end, None
 
 
+def check_indices(n: int, items) -> None:
+    """Refuse ``items`` with ValueError unless its indices are distinct
+    and in 0..n-1, naming the first index out of range or the first met
+    a second time.  The value evaluators call this at entry, before they
+    charge anything: a negative index would otherwise read a value from
+    the end, where the oracle refuses it."""
+    if not items:
+        return
+    # a range's ends are its extremes, and it holds no index twice: a
+    # scan or a set of one would only cost time and memory
+    is_range = isinstance(items, range)
+    ends = (items[0], items[-1]) if is_range else items
+    if min(ends) < 0 or max(ends) >= n:
+        x = next(x for x in items if not 0 <= x < n)
+        raise ValueError(f"index out of range: {x} with n={n}")
+    if not is_range and len(set(items)) < len(items):
+        seen = set()
+        x = next(x for x in items if x in seen or seen.add(x))
+        raise ValueError(f"comparison of an index with itself: {x}")
+
+
 def _span_cost(vals, a, cross_at):
     """(comparisons, witness or None) of ``merge_sort_gen(a, cross_at)``
     when ``vals`` answers every request, for ``a`` a list of distinct
@@ -218,14 +244,7 @@ def _span_cost(vals, a, cross_at):
     naming the first index out of range or the first index met a second
     time.
     """
-    n = len(vals)
-    if a and (min(a) < 0 or max(a) >= n):
-        x = next(x for x in a if not 0 <= x < n)
-        raise ValueError(f"index out of range: {x} with n={n}")
-    if len(set(a)) < len(a):
-        seen = set()
-        x = next(x for x in a if x in seen or seen.add(x))
-        raise ValueError(f"comparison of an index with itself: {x}")
+    check_indices(len(vals), a)
     if cross_at is not None:
         # the positions p where a[p - 1] and a[p] lie on different sides
         # of cross_at: a merge of a[lo:hi] holds both sides when one of
@@ -362,3 +381,79 @@ def select_gen(items, k: int):
                 break
         else:
             return found
+
+
+# _PROBES[m][p]: the requests select_gen's binary insertion makes to
+# place an item at position p of m sorted items (m < 5).  An item lands
+# after every item it ties, as bisect_right places it.
+_PROBES = ((0,), (1, 1), (2, 2, 1), (2, 2, 2, 2), (3, 3, 2, 2, 2))
+
+
+def select_values(vals, items, k: int):
+    """(index, requests) of ``drive(select_gen(items, k), oracle)`` when
+    ``vals`` answers every request, for ``items`` a sequence of distinct
+    indices in 0..len(vals)-1 and 1 <= k <= len(items).
+
+    The same loop as ``select_gen``: each binary insertion lands where
+    its probes would put it and is charged their number, and each
+    partition keeps ``arr`` order in two passes that together stand for
+    its len(arr) - 1 requests.
+    """
+    arr = items
+    cost = 0
+    waiting = []
+    while True:
+        n = len(arr)
+        base = n <= 5
+        picks = []
+        for g in range(0, n if base else n - n % 5, 5):
+            out, outv = [], []
+            for x in arr[g : g + 5]:
+                v = vals[x]
+                p = bisect_right(outv, v)
+                cost += _PROBES[len(outv)][p]
+                out.insert(p, x)
+                outv.insert(p, v)
+            picks.append(out[k - 1] if base else out[2])
+        if not base:
+            waiting.append((arr, k))
+            arr, k = picks, (len(picks) + 1) // 2
+            continue
+        found = picks[0]
+        pv = vals[found]
+        while waiting:
+            arr, k = waiting.pop()
+            cost += len(arr) - 1
+            less = [it for it in arr if vals[it] < pv]
+            if k <= len(less):
+                arr = less
+                break
+            greater = [it for it in arr if vals[it] > pv]
+            if k > len(arr) - len(greater):
+                k -= len(arr) - len(greater)
+                arr = greater
+                break
+        else:
+            return found, cost
+
+
+def select(oracle: CountingOracle, items, k: int):
+    """What ``drive(select_gen(items, k), oracle)`` returns, with the
+    same ``oracle.count``, for ``items`` a sequence of distinct indices
+    in 0..n-1.
+
+    An adversary-mode oracle drives that generator.  On a realized
+    instance the selection is evaluated from the values by
+    ``select_values``, with no request.  There a rank out of range is
+    refused first, then an index out of range or an index twice, before
+    anything is charged.
+    """
+    vals = oracle._values
+    if vals is None:
+        return drive(select_gen(items, k), oracle)
+    if not 1 <= k <= len(items):
+        raise ValueError(f"rank {k} out of range for {len(items)} items")
+    check_indices(len(vals), items)
+    found, cost = select_values(vals, items, k)
+    oracle.count += cost
+    return found

@@ -88,3 +88,42 @@ def test_no_module_imports_a_siblings_private_name():
                     and (node.level or (node.module or "").startswith("edlab"))
                     for alias in node.names if alias.name.startswith("_")]
     assert reached == [], f"private names imported across modules: {reached}"
+
+
+# The functions that read an oracle's values: the oracle itself, and the
+# evaluators that charge it the requests a generator would make on a
+# realized instance (core.py's module docstring names them).  Everything
+# else in the package must ask the oracle.
+VALUE_READERS = {
+    "core.py:CountingOracle.compare",
+    "sortsel.py:sort_spans",
+    "sortsel.py:select",
+    "algorithms.py:median_recursion",
+    "setint.py:si_clairvoyant",
+}
+
+
+def value_readers(path):
+    """module:qualified name of each function that loads ``._values``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + [child.name]
+            elif (isinstance(child, ast.Attribute) and child.attr == "_values"
+                    and isinstance(child.ctx, ast.Load)):
+                found.add(f"{path.name}:{'.'.join(scope)}")
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return found
+
+
+def test_only_the_listed_evaluators_read_oracle_values():
+    readers = set().union(*map(value_readers, PACKAGE))
+    assert readers == VALUE_READERS, (
+        f"new readers {sorted(readers - VALUE_READERS)}, "
+        f"listed but gone {sorted(VALUE_READERS - readers)}")

@@ -4,7 +4,9 @@ On a realized instance sort_spans evaluates each span from the values;
 result, oracle.count and stats must equal what driving sort_spans_gen
 gives.  In adversary mode it drives that generator, so the transcript
 is the generator's.  The span runners must then issue no request at all
-on a realized instance.  Both forms agree on spans of distinct in-range
+on a realized instance, and neither may median recursion, clairvoyant,
+preprocessed runs, selection or SI clairvoyant, which evaluate select
+and the median partitions from the values (tests/test_value_evaluators.py).  Both forms agree on spans of distinct in-range
 indices; on a realized instance any other span is refused before its
 first merge.
 """
@@ -18,7 +20,7 @@ from edlab import algorithms
 from edlab.algorithms import block_sorting, clairvoyant, order_doubling
 from edlab.core import CountingOracle, Instance, Outcome
 from edlab.profiles import ClusterProfile
-from edlab.setint import realize_si_family, si_doubling
+from edlab.setint import realize_si_family, si_clairvoyant, si_doubling
 from edlab.sortsel import drive, sort_spans, sort_spans_gen
 
 
@@ -152,4 +154,28 @@ def test_span_runners_issue_no_request_in_instance_mode():
     assert rep.outcome is Outcome.DUPLICATE
     si = realize_si_family(64, 2, seed=1)
     rep = si_doubling(_Silent(si.combined()), si.na, si.nb)
+    assert rep.outcome is Outcome.DUPLICATE
+
+
+def test_value_runners_issue_no_request_in_instance_mode():
+    # 16 values with a cluster of 4: clairvoyant takes its median path
+    inst = Instance((7, 3, 9, 1, 4, 3, 8, 0, 3, 6, 5, 3, 2, 10, 11, 12))
+    prof = ClusterProfile([1] * 12 + [4])
+    n = len(inst)
+    for runner in (
+            lambda o: algorithms.median_recursion(o, range(n), 2),
+            lambda o: algorithms.median_recursion(o, [5, 0, 9, 2, 14], 2),
+            lambda o: clairvoyant(o, prof),
+            lambda o: algorithms.run_preprocessed(
+                algorithms.PreprocessedPlan("block", prof, k=4), o),
+            lambda o: algorithms.run_preprocessed(
+                algorithms.PreprocessedPlan("defer", prof), o)):
+        rep = runner(_Silent(inst))
+        assert rep == runner(CountingOracle(inst))
+    assert clairvoyant(_Silent(inst), prof).stats["path"] == "median"
+    assert (algorithms.select_kth(_Silent(inst), range(n), 5)
+            == algorithms.select_kth(CountingOracle(inst), range(n), 5))
+    si = realize_si_family(64, 2, seed=1)
+    rep = si_clairvoyant(_Silent(si.combined()), si.na, si.nb, 2, si.na)
+    assert rep == si_clairvoyant(si.oracle(), si.na, si.nb, 2, si.na)
     assert rep.outcome is Outcome.DUPLICATE
