@@ -303,10 +303,11 @@ def median_recursion(oracle: CountingOracle, items, L: int) -> RunReport:
         less = [it for it in items if vals[it] < pv]
         greater = [it for it in items if vals[it] > pv]
         if len(less) + len(greater) + 1 < len(items):
-            others = [it for it in items if it != med]
-            p = next(p for p, it in enumerate(others) if vals[it] == pv)
-            oracle.count += cost + p + 1
-            outcome, witness = Outcome.DUPLICATE, (others[p], med)
+            # the first item that ties the pivot is the last one asked
+            hit = next(it for it in items if it != med and vals[it] == pv)
+            at = items.index(hit)
+            oracle.count += cost + at + (items.index(med) > at)
+            outcome, witness = Outcome.DUPLICATE, (hit, med)
             break
         oracle.count += cost + len(items) - 1
         stack.append(greater)
