@@ -111,6 +111,70 @@ def brute_reduction_budget(sizes):
             best = val
     return min(n_prime / 8.0, best / 32.0)
 
+
+def brute_approx_L2_scan(sizes):
+    """The halving scan as approx_L2_scan first ran it: running totals
+    give C and D of each median, and the minimum and every partition go
+    through the counted three-way comparison.  Returns (L2_approx,
+    objective, size_comparisons)."""
+    sizes = tuple(sizes)
+    n, m = sum(sizes), len(sizes)
+    counter = [0]
+
+    def cmp3(i, j):
+        counter[0] += 1
+        a, b = sizes[i], sizes[j]
+        return LT if a < b else GT if a > b else EQ
+
+    cur = range(m)
+    tmin = cur[0]
+    for tok in cur[1:]:
+        if cmp3(tok, tmin) is LT:
+            tmin = tok
+    candidates = [(sizes[tmin], 0, m)]  # (t_1, C, D): nothing sits below the min
+
+    dropped_sum = 0
+    dropped_eq = 0  # dropped elements equal to the current pivot value
+    v_prev = None
+    while len(cur) > 1:
+        r = len(cur)
+        u = (r + 1) // 2
+        gen, ans = brute_select_gen(cur, r - u + 1), None
+        while True:
+            try:
+                x, y = gen.send(ans)
+            except StopIteration as stop:
+                v_tok = stop.value
+                break
+            ans = cmp3(x, y)
+        v = sizes[v_tok]
+        less, equal, greater = [], [], []
+        for tok in cur:
+            if tok == v_tok:
+                equal.append(tok)
+                continue
+            a = cmp3(tok, v_tok)
+            (less if a is LT else greater if a is GT else equal).append(tok)
+        keep_eq = u - len(greater)
+        kept = greater + equal[:keep_eq]
+        shed = len(equal) - keep_eq
+        dropped_sum += sum(sizes[t] for t in less) + v * shed
+        dropped_eq = (dropped_eq if v == v_prev else 0) + shed
+        v_prev = v
+        C = dropped_sum - v * dropped_eq
+        D = len(kept) + dropped_eq
+        candidates.append((v, C, D))
+        cur = kept
+
+    best = None
+    for t, C, D in candidates:
+        if 2 * C >= n:
+            continue
+        val = _val2(C, D)
+        if best is None or val < best[1]:
+            best = (t, val)
+    return best[0], best[1], counter[0]
+
 # --- reference chain packing, reconstruction and realization -----------
 # The tree adversary's post-game pipeline written out directly: every
 # extraction rescores the whole position trie and filters each chain

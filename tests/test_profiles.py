@@ -1,16 +1,19 @@
 """Profile step functions, parameter selection, and budget arithmetic."""
 
 import math
+import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bruteforce import (brute_cd, brute_lower_bound_block,
+from bruteforce import (brute_approx_L2_scan, brute_cd,
+                        brute_lower_bound_block,
                         brute_lower_bound_combined, brute_lower_bound_median,
                         brute_reduction_budget, brute_select_L1,
                         brute_select_L2)
-from edlab.harness import cmd_profile_bounds, cmd_profile_stats
+from edlab.harness import (cmd_profile_bounds, cmd_profile_stats,
+                           random_multicluster_profile, random_profile)
 from edlab.profiles import (ClusterProfile, approx_L2_scan, cd,
                             check_linear_subset, derive_reduced,
                             lower_bound_block, lower_bound_combined,
@@ -130,6 +133,29 @@ def test_approx_L2_trivial_profile():
     p = ClusterProfile([8])
     t, obj, count = approx_L2_scan(p)
     assert (t, obj, count) == (8, 1.0, 0)
+
+
+@st.composite
+def scan_profiles(draw):
+    """Small hand-sized profiles, or the finders families up to n = 600."""
+    if draw(st.booleans()):
+        return draw(profiles)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 600))
+    family = draw(st.sampled_from([random_profile,
+                                   random_multicluster_profile]))
+    return ClusterProfile(family(rng, n, draw(st.integers(0, 3))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=scan_profiles())
+@example(p=ClusterProfile([7]))              # m = 1
+@example(p=ClusterProfile([4] * 9))          # all sizes equal
+@example(p=ClusterProfile([1] * 12))         # all singletons
+@example(p=ClusterProfile([5, 3]))           # two clusters
+@example(p=ClusterProfile([1, 9]))
+def test_approx_L2_scan_matches_reference(p):
+    assert approx_L2_scan(p) == brute_approx_L2_scan(p.sizes)
 
 
 @given(p=profiles)
