@@ -383,11 +383,6 @@ def run_preprocessed(plan: PreprocessedPlan, oracle: CountingOracle) -> RunRepor
 
 # --- rank-based operations ----------------------------------------------------
 
-def select_kth(oracle: CountingOracle, items, k: int):
-    """Deterministic linear selection (median of medians, groups of 5)."""
-    return select(oracle, items, k)
-
-
 def order_baseline(oracle: CountingOracle, n: int, k: int) -> RunReport:
     """Selection at known ranks k and k+1 plus one confirming comparison.
 
@@ -398,10 +393,10 @@ def order_baseline(oracle: CountingOracle, n: int, k: int) -> RunReport:
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     start = oracle.count
-    x = select_kth(oracle, range(n), k)
+    x = select(oracle, range(n), k)
     # rank k+1 overall = rank k once x is removed; selecting on the
     # remainder also guarantees y != x when ranks k, k+1 are tied
-    y = select_kth(oracle, [i for i in range(n) if i != x], k)
+    y = select(oracle, [i for i in range(n) if i != x], k)
     ans = oracle.compare(x, y)
     if ans is Answer.EQ:
         return RunReport(Outcome.DUPLICATE, (x, y), oracle.count - start)

@@ -135,15 +135,18 @@ def select_L1(profile: ClusterProfile) -> Optional[tuple[int, float]]:
     return best
 
 
-def _bound2_min(profile: ClusterProfile, cap: int) -> tuple[int, float]:
-    """argmin over {L >= 1 : cap*C(L) < n} of (C+D)*max(1, log2 D).
+def _bound2_min(profile: ClusterProfile, cap: int,
+                candidates) -> tuple[int, float]:
+    """argmin over the candidate L with cap*C(L) < n of (C+D)*max(1, log2 D).
 
-    The objective is constant on pieces, so piece starts are scanned and
-    ties resolve to the smaller L.  L = 1 always qualifies.
+    Candidates are tried in order and ties resolve to the earlier one;
+    D is computed only for feasible L.  Given piece_starts(), this is the
+    minimum over every L >= 1, since the objective is constant on pieces
+    and L = 1 always qualifies.
     """
     n = profile.n
     best = None
-    for L in profile.piece_starts():
+    for L in candidates:
         C = profile.c(L)
         if cap * C >= n:
             continue
@@ -155,69 +158,41 @@ def _bound2_min(profile: ClusterProfile, cap: int) -> tuple[int, float]:
 
 def select_L2(profile: ClusterProfile) -> tuple[int, float]:
     """argmin over {L >= 1 : 2*C(L) < n} of (C+D)*max(1, log2 D)."""
-    return _bound2_min(profile, 2)
+    return _bound2_min(profile, 2, profile.piece_starts())
 
 
 def approx_L2_scan(profile: ClusterProfile) -> tuple[int, float, int]:
-    """Linear-time approximation of select_L2 from size arithmetic only.
+    """Linear-time approximation of select_L2 from cluster sizes alone.
 
-    Repeatedly selects the median of the surviving sizes and keeps the
-    upper half, recording the minimum t_j of each call together with the
-    exact C(t_j), D(t_j) maintained from running totals.  Returns
-    (L2_approx, objective, size_comparisons); the objective is within a
-    small constant factor (3x on the tested families) of select_L2's and
-    the comparison count is linear in m.
+    Starts from the minimum size, then repeatedly selects the median of
+    the surviving sizes and keeps the upper half, ties in their order.
+    Each of these sizes is a candidate L, and _bound2_min picks the best
+    feasible one from the profile's C and D.  Returns (L2_approx,
+    objective, size_comparisons); the objective is within a small
+    constant factor (3x on the tested families) of select_L2's.  The
+    count is linear in m: m - 1 for the minimum, then per halving of r
+    sizes the select's comparisons and r - 1 for the partition.
     """
     sizes = profile.sizes
-    n, m = profile.n, profile.m
-    counter = [0]
+    counter = [profile.m - 1]
 
     def cmp3(i, j):
         counter[0] += 1
         a, b = sizes[i], sizes[j]
         return LT if a < b else GT if a > b else EQ
 
-    cur = range(m)
-    tmin = cur[0]
-    for tok in cur[1:]:
-        if cmp3(tok, tmin) is LT:
-            tmin = tok
-    candidates = [(sizes[tmin], 0, m)]  # (t_1, C, D): nothing sits below the min
-
-    dropped_sum = 0
-    dropped_eq = 0  # dropped elements equal to the current pivot value
-    v_prev = None
+    cur = range(profile.m)
+    candidates = [min(sizes)]
     while len(cur) > 1:
         r = len(cur)
         u = (r + 1) // 2
-        v_tok = drive_with(select_gen(cur, r - u + 1), cmp3)
-        v = sizes[v_tok]
-        less, equal, greater = [], [], []
-        for tok in cur:
-            if tok == v_tok:
-                equal.append(tok)
-                continue
-            a = cmp3(tok, v_tok)
-            (less if a is LT else greater if a is GT else equal).append(tok)
-        keep_eq = u - len(greater)
-        kept = greater + equal[:keep_eq]
-        shed = len(equal) - keep_eq
-        dropped_sum += sum(sizes[t] for t in less) + v * shed
-        dropped_eq = (dropped_eq if v == v_prev else 0) + shed
-        v_prev = v
-        C = dropped_sum - v * dropped_eq
-        D = len(kept) + dropped_eq
-        candidates.append((v, C, D))
-        cur = kept
-
-    best = None
-    for t, C, D in candidates:
-        if 2 * C >= n:
-            continue
-        val = bound2_value(C, D)
-        if best is None or val < best[1]:
-            best = (t, val)
-    return best[0], best[1], counter[0]
+        v = sizes[drive_with(select_gen(cur, r - u + 1), cmp3)]
+        counter[0] += r - 1
+        greater = [t for t in cur if sizes[t] > v]
+        cur = greater + [t for t in cur if sizes[t] == v][:u - len(greater)]
+        candidates.append(v)
+    L, val = _bound2_min(profile, 2, candidates)
+    return L, val, counter[0]
 
 
 def derive_reduced(profile: ClusterProfile) -> tuple[ClusterProfile, int, int]:
@@ -269,7 +244,8 @@ def reduction_budget(profile: ClusterProfile) -> float:
     """min(n'/8, (1/32)*min_{C'(L)<n'} (C'+D')*max(1,log2 D')) over the
     reduced profile G' of derive_reduced, with n' its vertex count."""
     reduced, n_prime, _ = derive_reduced(profile)
-    return min(n_prime / 8.0, _bound2_min(reduced, 1)[1] / 32.0)
+    return min(n_prime / 8.0,
+               _bound2_min(reduced, 1, reduced.piece_starts())[1] / 32.0)
 
 
 def check_linear_subset(profile: ClusterProfile) -> bool:

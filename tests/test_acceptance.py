@@ -30,7 +30,7 @@ from edlab.setint import (realize_si_family, si_clairvoyant, si_doubling_gen,
 
 # calibrated once, asserted forever
 COMPETITIVE_CAP = 6.0       # oblivious/clairvoyant, divided by log2 log2 n
-SELECTION_CAP = 7.5         # select_kth comparisons per element, times 4n
+SELECTION_CAP = 7.5         # order_baseline comparisons (two selects), per 4n
 SI_CAP = 6.0                # si_clairvoyant comparisons per element
 
 

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from edlab.algorithms import (block_sorting, clairvoyant, median_recursion,
                               order_baseline, order_doubling, preprocess,
-                              run_preprocessed, select_kth)
+                              run_preprocessed)
 from edlab.core import (CountingOracle, Instance, Outcome, ceil_log2,
                         realize_instance)
 from edlab.harness import run_algorithm
 from edlab.profiles import ClusterProfile, select_L1, select_L2
+from edlab.sortsel import select
 
 profiles = st.lists(st.integers(min_value=1, max_value=9), min_size=1,
                     max_size=16).map(ClusterProfile)
@@ -32,26 +33,26 @@ def check_witness(vals, rep):
 
 def test_select_kth_singleton():
     o = oracle_for([42])
-    assert select_kth(o, [0], 1) == 0
+    assert select(o, [0], 1) == 0
     assert o.count == 0
 
 
 def test_select_kth_small_trace():
     vals = [3, 1, 2]
-    assert vals[select_kth(oracle_for(vals), range(3), 2)] == 2
+    assert vals[select(oracle_for(vals), range(3), 2)] == 2
 
 
 @given(vals=st.lists(st.integers(0, 30), min_size=1, max_size=50),
        data=st.data())
 def test_select_kth_matches_sorted_oracle(vals, data):
     k = data.draw(st.integers(1, len(vals)))
-    idx = select_kth(oracle_for(vals), range(len(vals)), k)
+    idx = select(oracle_for(vals), range(len(vals)), k)
     assert vals[idx] == sorted(vals)[k - 1]
 
 
 def test_select_kth_rank_errors():
     with pytest.raises(ValueError):
-        select_kth(oracle_for([1, 2]), range(2), 3)
+        select(oracle_for([1, 2]), range(2), 3)
 
 
 # --- block sorting -----------------------------------------------------------

@@ -295,6 +295,26 @@ def test_duel_reports_an_instance_that_does_not_replay(monkeypatch):
                           "transcript/profile"]
 
 
+@settings(max_examples=150, deadline=None)
+@given(algo=st.sampled_from(harness.DUEL_ALGOS),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(2, 256),
+       mode=st.integers(0, 3), data=st.data())
+def test_duel_is_sound_under_any_round_budget(algo, seed, n, mode, data):
+    prof = ClusterProfile(
+        random_multicluster_profile(random.Random(seed), n, mode))
+    guaranteed = reconstruction_budget(prof)
+    rounds = data.draw(st.integers(0, 2 * guaranteed), label="rounds")
+    _, [row], violations = harness.cmd_duel(algo, n, prof, rounds=rounds)
+    assert violations == []
+    assert row[1] <= rounds
+    if rounds <= guaranteed:
+        assert row[4] is True
+    elif row[4] is False:
+        # past the guarantee a failed reconstruction is data: no
+        # realized instance, so no clairvoyant count either
+        assert row[5] == ""
+
+
 @pytest.mark.parametrize("name", ["clairvoyant", "oblivious"])
 def test_competitive_sweep_reports_a_missed_duplicate(name, monkeypatch):
     monkeypatch.delenv("EDLAB_SEED", raising=False)

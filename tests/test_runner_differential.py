@@ -6,7 +6,8 @@ all-distinct inputs.  The runners that evaluate their spans on a
 realized instance (block_sorting, order_doubling, si_doubling) must
 report the reference's outcome, witness, request count and stats, and
 so must clairvoyant, whose path and parameters the reference picks by
-full scans."""
+full scans, and the preprocessed runner, whose plan the reference takes
+from the running-totals halving scan."""
 
 from collections import Counter
 
@@ -14,12 +15,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bruteforce import (brute_block_sorting_gen, brute_cd, brute_doubling_gen,
+from bruteforce import (brute_approx_L2_scan, brute_block_sorting_gen,
+                        brute_cd, brute_doubling_gen,
                         brute_median_recursion_gen, brute_select_L1,
                         brute_select_L2, brute_si_doubling_gen,
                         recorded_run as run)
 from edlab.algorithms import (block_sorting, block_sorting_gen, clairvoyant,
-                              doubling_gen, order_doubling)
+                              doubling_gen, order_doubling, preprocess,
+                              run_preprocessed)
 from edlab.core import CountingOracle, Instance
 from edlab.profiles import ClusterProfile
 from edlab.setint import si_doubling, si_doubling_gen
@@ -167,6 +170,37 @@ def test_clairvoyant_matches_reference_on_instances(values):
     rep = clairvoyant(CountingOracle(Instance(tuple(values))),
                       ClusterProfile(sizes))
     ref_gen, ref_stats = _brute_clairvoyant(sizes)
+    _report_matches(rep, ref_gen, values, ref_stats)
+
+
+def _brute_preprocessed(sizes):
+    """The reference run of a preprocessed plan and its stats: block
+    sorting with k = 2 D(t) at the halving scan's t, or clairvoyant's
+    reference run when the scan's objective reaches n."""
+    n = sum(sizes)
+    t, obj, _ = brute_approx_L2_scan(sizes)
+    if obj >= n:
+        gen, stats = _brute_clairvoyant(sizes)
+        stats["mode"] = "defer"
+        return gen, stats
+    k = 2 * brute_cd(sizes, t)[1]
+    stats = {"mode": "block", "k": k, "approx_L": t}
+    return brute_block_sorting_gen(range(n), k, stats), stats
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=instances())
+@example(values=[0])
+@example(values=[1, 1])
+@example(values=[1, 0])
+@example(values=list(range(70)))
+@example(values=[0, 1, 2] * 12)  # block path
+@example(values=[0] * 30 + list(range(1, 40)))
+def test_preprocessed_matches_reference_on_instances(values):
+    sizes = list(Counter(values).values())
+    rep = run_preprocessed(preprocess(ClusterProfile(sizes)),
+                           CountingOracle(Instance(tuple(values))))
+    ref_gen, ref_stats = _brute_preprocessed(sizes)
     _report_matches(rep, ref_gen, values, ref_stats)
 
 

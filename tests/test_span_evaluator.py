@@ -21,7 +21,7 @@ from edlab.algorithms import block_sorting, clairvoyant, order_doubling
 from edlab.core import CountingOracle, Instance, Outcome
 from edlab.profiles import ClusterProfile
 from edlab.setint import realize_si_family, si_clairvoyant, si_doubling
-from edlab.sortsel import drive, sort_spans, sort_spans_gen
+from edlab.sortsel import drive, select, sort_spans, sort_spans_gen
 
 
 @st.composite
@@ -173,8 +173,8 @@ def test_value_runners_issue_no_request_in_instance_mode():
         rep = runner(_Silent(inst))
         assert rep == runner(CountingOracle(inst))
     assert clairvoyant(_Silent(inst), prof).stats["path"] == "median"
-    assert (algorithms.select_kth(_Silent(inst), range(n), 5)
-            == algorithms.select_kth(CountingOracle(inst), range(n), 5))
+    assert (select(_Silent(inst), range(n), 5)
+            == select(CountingOracle(inst), range(n), 5))
     si = realize_si_family(64, 2, seed=1)
     rep = si_clairvoyant(_Silent(si.combined()), si.na, si.nb, 2, si.na)
     assert rep == si_clairvoyant(si.oracle(), si.na, si.nb, 2, si.na)

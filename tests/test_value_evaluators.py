@@ -19,8 +19,7 @@ from bruteforce import (brute_median_recursion_gen, brute_select_gen,
                         recorded_run, recording_oracle)
 from edlab.algorithms import (PreprocessedPlan, block_sorting_gen,
                               clairvoyant, median_recursion,
-                              median_recursion_gen, run_preprocessed,
-                              select_kth)
+                              median_recursion_gen, run_preprocessed)
 from edlab.core import CountingOracle, Instance
 from edlab.profiles import ClusterProfile
 from edlab.setint import realize_si_family, si_clairvoyant, si_clairvoyant_gen
@@ -125,10 +124,10 @@ def test_median_recursion_refuses_bad_L_before_reading_items(L):
     (lambda o: select(o, [0, 0, 1], 1),
      "comparison of an index with itself: 0"),
     (lambda o: select(o, [2, 4], 2), "index out of range: 4 with n=4"),
-    (lambda o: select_kth(o, [-1, 0, 1, 2], 1),
+    (lambda o: select(o, [-1, 0, 1, 2], 1),
      "index out of range: -1 with n=4")],
     ids=["median-negative", "median-repeat", "select-repeat",
-         "select-past-end", "select_kth-negative"])
+         "select-past-end", "select-neg"])
 def test_value_evaluators_refuse_bad_indices_before_charging(run, message):
     # -1 would read the last value where the oracle refuses it; the
     # median case with L = 5 has no call large enough to select in
@@ -154,11 +153,11 @@ BLOCK_VALUES = (0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2)
 
 @pytest.mark.parametrize("run, gen", [
     (lambda o: select(o, range(16), 8), lambda: select_gen(range(16), 8)),
-    (lambda o: select_kth(o, [5, 1, 9, 12, 0, 3], 2),
+    (lambda o: select(o, [5, 1, 9, 12, 0, 3], 2),
      lambda: select_gen([5, 1, 9, 12, 0, 3], 2)),
     (lambda o: median_recursion(o, [9, 4, 15, 0, 7, 2, 11, 13, 1, 3], 2),
      lambda: median_recursion_gen([9, 4, 15, 0, 7, 2, 11, 13, 1, 3], 2))],
-    ids=["select", "select_kth", "median_recursion"])
+    ids=["select", "select-list", "median_recursion"])
 def test_runners_replay_generator_transcript_in_adversary_mode(run, gen):
     ref, got = recording_oracle(MEDIAN_VALUES), recording_oracle(MEDIAN_VALUES)
     want = drive(gen(), ref)
