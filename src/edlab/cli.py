@@ -67,12 +67,15 @@ def _parse_ns(text):
 
 
 class _Group(click.Group):
-    """Reports a ValueError from any verb as `Error: <msg>`, exit 1."""
+    """Reports a ValueError or OSError from any verb as `Error: <msg>`.
+
+    Either one exits 1 without a traceback.
+    """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise click.ClickException(str(exc)) from None
 
 

@@ -24,25 +24,31 @@ drives ``sort_spans_gen``.  ``select`` does the same for ``select_gen``,
 through ``select_values``, which median recursion and SI clairvoyant
 also use for their pivots.
 
-Driver contract.  Every request is an ``(x, y)`` pair.  A driver binds
-the generator's ``send`` once per run and unpacks each request into two
-arguments, so the per-comparison call is a plain two-argument call.  It
-looks up ``oracle.compare`` afresh on every request, though, and must
-keep doing so: a caller may swap ``CountingOracle.compare`` on the class
-in the middle of a run (the benchmark's tracer does, to time the first
-comparison of a run), and the swap has to reach the next request.  In
-instance mode no runner but the oblivious scheduler issues a request:
-the span runners (block sorting, prefix doubling, the SI joint sort),
-median recursion, clairvoyant on both paths, preprocessed runs,
-selection and SI clairvoyant are evaluated from the values, so the
-contract reaches them only in adversary mode (``order_baseline`` still
-makes its one confirming comparison).  Games, duel opponents and the
-oblivious scheduler always go through the drivers, and
+Driver contract.  Every request is an ``(x, y)`` pair, and every
+request a generator sends an oracle passes through one loop,
+``drive_bounded``: ``drive`` is that loop with no budget.  The only
+other loop is ``drive_with``, which answers from a bare three-way
+callable (the halving scan's size comparisons).  A loop binds the
+generator's ``send`` once per run and unpacks each request into two
+arguments, so the per-comparison call is a plain two-argument call.
+The oracle loop looks up ``oracle.compare`` afresh on every request,
+though, and must keep doing so: a caller may swap
+``CountingOracle.compare`` on the class in the middle of a run (the
+benchmark's tracer does, to time the first comparison of a run), and
+the swap has to reach the next request.  In instance mode no runner but
+the oblivious scheduler issues a request: the span runners (block
+sorting, prefix doubling, the SI joint sort), median recursion,
+clairvoyant on both paths, preprocessed runs, selection and SI
+clairvoyant are evaluated from the values, so the contract reaches them
+only in adversary mode (``order_baseline`` still makes its one
+confirming comparison).  Games, duel opponents and the oblivious
+scheduler always go through the loop, and
 ``test_drivers_look_up_compare_per_request`` checks the contract there.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from itertools import compress
 from operator import ne
@@ -55,14 +61,7 @@ LT, EQ, GT = Answer.LT, Answer.EQ, Answer.GT
 
 def drive(gen, oracle: CountingOracle):
     """Run a comparison generator to completion against an oracle."""
-    send = gen.send
-    ans = None
-    while True:
-        try:
-            x, y = send(ans)
-        except StopIteration as stop:
-            return stop.value
-        ans = oracle.compare(x, y)
+    return drive_bounded(gen, oracle, math.inf)[0]
 
 
 def drive_with(gen, cmp3: Callable[[int, int], Answer]):
@@ -77,11 +76,13 @@ def drive_with(gen, cmp3: Callable[[int, int], Answer]):
         ans = cmp3(x, y)
 
 
-def drive_bounded(gen, oracle: CountingOracle, budget: int):
+def drive_bounded(gen, oracle: CountingOracle, budget: float):
     """Advance ``gen`` for at most ``budget`` comparisons.
 
-    Returns (result, finished): result is the generator's return value
-    when it finished within budget, else None.
+    ``budget`` may be ``math.inf``, which is how ``drive`` runs a
+    generator to completion, so this is the one loop that feeds an
+    oracle.  Returns (result, finished): result is the generator's
+    return value when it finished within budget, else None.
     """
     send = gen.send
     ans = None

@@ -315,6 +315,22 @@ def test_duel_is_sound_under_any_round_budget(algo, seed, n, mode, data):
         assert row[5] == ""
 
 
+@pytest.mark.parametrize("rounds, consistency, cv", [
+    (8640, True, 7671),
+    (8736, False, ""),
+])
+def test_duel_reports_a_real_failure_past_the_budget_as_data(rounds,
+                                                             consistency, cv):
+    # oblivious on [2]x512 reconstructs 90x past its guaranteed budget of
+    # 96 rounds and fails a little further on: data, not a violation
+    prof = ClusterProfile([2] * 512)
+    assert reconstruction_budget(prof) == 96
+    _, rows, violations = harness.cmd_duel("oblivious", 1024, prof,
+                                           rounds=rounds)
+    assert rows == [[1024, rounds, "oblivious", True, consistency, cv]]
+    assert violations == []
+
+
 @pytest.mark.parametrize("name", ["clairvoyant", "oblivious"])
 def test_competitive_sweep_reports_a_missed_duplicate(name, monkeypatch):
     monkeypatch.delenv("EDLAB_SEED", raising=False)
@@ -575,6 +591,18 @@ BAD_FILE_AT = {"garbled.inst": "garbled.inst:2:",
                "repeated.si": "repeated.si:5:"}
 
 
+# a file the system refuses: its message names the path
+FILE_ERRORS = [
+    (["run", "--algo", "block", "--input", "pair.inst",
+      "--out", "missing/out.csv"],
+     "[Errno 2] No such file or directory: 'missing/out.csv'"),
+    (["gen", "--clique", "n=4", "--out-dir", "pair.inst"],
+     "[Errno 17] File exists: 'pair.inst'"),
+    (["run", "--algo", "block", "--input", "."],
+     "[Errno 21] Is a directory: '.'"),
+]
+
+
 @pytest.mark.parametrize("args", [
     ["run", "--algo", "block", "--k", "0", "--input", "pair.inst"],
     ["run", "--algo", "median", "--l", "0", "--input", "pair.inst"],
@@ -616,6 +644,7 @@ BAD_FILE_AT = {"garbled.inst": "garbled.inst:2:",
     ["check-bounds", "--count", "0"],
     ["si", "run", "--algo", "clairvoyant", "--input", "a3.si", "--i", "1"],
     ["si", "run", "--algo", "clairvoyant", "--input", "a27.si", "--i", "1"],
+    *(args for args, _ in FILE_ERRORS),
 ])
 def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -670,6 +699,7 @@ def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
      "--profile-random m must be in 1..5, got 6"),
     (["gen", "--profile-random", "m=1", "n=0"],
      "--profile-random n must be at least 1, got 0"),
+    *FILE_ERRORS,
 ])
 def test_cli_bad_option_is_named_with_what_it_takes(args, message, tmp_path,
                                                    monkeypatch):
