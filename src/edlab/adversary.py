@@ -268,7 +268,7 @@ def reconstruct(state: AdversaryState, profile: ClusterProfile):
     n = len(state.positions)
     if profile.n != n:
         raise ValueError("profile does not cover all elements")
-    reduced, _, _ = derive_reduced(profile)
+    reduced, _ = derive_reduced(profile)
     sizes = profile.sizes
     order_desc = sorted(range(profile.m), key=sizes.__getitem__,
                         reverse=True)

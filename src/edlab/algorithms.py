@@ -3,10 +3,10 @@
 Every algorithm here is written as a request generator (see sortsel) and
 wrapped by a small runner that produces a RunReport.  Block sorting and
 prefix doubling are series of span sorts: their runners hand the spans to
-``run_spans``, whose ``sortsel.sort_spans`` evaluates them on a realized
-instance without a request and drives the generator otherwise.
-``setint`` runs set-intersection doubling on ``doubling_spans`` and
-``run_spans`` too.  The oblivious runner multiplexes many branch
+``sortsel.sort_spans``, which evaluates them on a realized instance
+without a request, drives the generator otherwise, and returns the
+report.  ``setint`` runs set-intersection doubling on ``doubling_spans``
+and ``sort_spans`` too.  The oblivious runner multiplexes many branch
 generators through a round-robin scheduler that charges exactly one
 oracle comparison per live branch per round; the scheduler is itself a
 generator, so adversary games can drive it with a comparison budget.
@@ -51,7 +51,7 @@ def block_sorting_gen(items, k: int, stats: Optional[dict] = None):
     A plain function that returns the `sort_spans_gen` generator over
     `_block_spans`; a k below 1 therefore raises here, when this is
     called, not at the first request.  The runner `block_sorting` sorts
-    the same spans through `run_spans`.
+    the same spans through `sort_spans`.
     """
     return sort_spans_gen(_block_spans(items, k), Outcome.GAVE_UP, stats=stats)
 
@@ -147,7 +147,7 @@ def doubling_gen(n: int):
     must commit early positions, and also the only branch of the
     oblivious runner that can certify Distinct.  A plain function that
     returns the `sort_spans_gen` generator over `doubling_spans`; the
-    runner `order_doubling` sorts the same spans through `run_spans`.
+    runner `order_doubling` sorts the same spans through `sort_spans`.
     """
     return sort_spans_gen(doubling_spans(n), Outcome.DISTINCT)
 
@@ -255,20 +255,9 @@ def _run(oracle: CountingOracle, gen, stats=None, branch_costs=None) -> RunRepor
                      branch_costs=branch_costs or {}, stats=stats or {})
 
 
-def run_spans(oracle: CountingOracle, spans, end, cross_at=None,
-              stats=None) -> RunReport:
-    """The report of ``sort_spans``: the runner of every span sort, for
-    element distinctness and, with ``cross_at``, set intersection."""
-    start = oracle.count
-    outcome, witness = sort_spans(oracle, spans, end, cross_at, stats)
-    return RunReport(outcome=outcome, witness=witness,
-                     comparisons=oracle.count - start, stats=stats or {})
-
-
 def block_sorting(oracle: CountingOracle, items, k: int) -> RunReport:
-    stats = {}
-    return run_spans(oracle, _block_spans(items, k), Outcome.GAVE_UP,
-                     stats=stats)
+    return sort_spans(oracle, _block_spans(items, k), Outcome.GAVE_UP,
+                      stats={})
 
 
 def median_recursion(oracle: CountingOracle, items, L: int) -> RunReport:
@@ -316,8 +305,8 @@ def median_recursion(oracle: CountingOracle, items, L: int) -> RunReport:
                      comparisons=oracle.count - start, stats=stats)
 
 
-def order_doubling(oracle: CountingOracle, n: int) -> RunReport:
-    return run_spans(oracle, doubling_spans(n), Outcome.DISTINCT)
+def order_doubling(oracle: CountingOracle) -> RunReport:
+    return sort_spans(oracle, doubling_spans(oracle.n), Outcome.DISTINCT)
 
 
 def oblivious(oracle: CountingOracle, n: Optional[int] = None) -> RunReport:
@@ -351,9 +340,8 @@ def clairvoyant(oracle: CountingOracle, profile: ClusterProfile) -> RunReport:
 
 @dataclass
 class PreprocessedPlan:
-    mode: str                    # "block" | "defer"
     profile: ClusterProfile
-    k: Optional[int] = None
+    k: Optional[int] = None      # block sorting's k; None defers
     approx_L: Optional[int] = None
 
 
@@ -367,12 +355,12 @@ def preprocess(profile: ClusterProfile) -> PreprocessedPlan:
     """
     t, obj, _ = approx_L2_scan(profile)
     if obj >= profile.n:
-        return PreprocessedPlan("defer", profile, approx_L=t)
-    return PreprocessedPlan("block", profile, k=2 * profile.d(t), approx_L=t)
+        return PreprocessedPlan(profile, approx_L=t)
+    return PreprocessedPlan(profile, k=2 * profile.d(t), approx_L=t)
 
 
 def run_preprocessed(plan: PreprocessedPlan, oracle: CountingOracle) -> RunReport:
-    if plan.mode == "block":
+    if plan.k is not None:
         rep = block_sorting(oracle, range(plan.profile.n), plan.k)
         rep.stats.update(mode="block", k=plan.k, approx_L=plan.approx_L)
         return rep
@@ -383,13 +371,14 @@ def run_preprocessed(plan: PreprocessedPlan, oracle: CountingOracle) -> RunRepor
 
 # --- rank-based operations ----------------------------------------------------
 
-def order_baseline(oracle: CountingOracle, n: int, k: int) -> RunReport:
+def order_baseline(oracle: CountingOracle, k: int) -> RunReport:
     """Selection at known ranks k and k+1 plus one confirming comparison.
 
     When the input's only duplicate pair occupies sorted ranks {k, k+1},
     this finds it in O(n) comparisons regardless of where the pair sits
     positionally; without that promise it gives up.
     """
+    n = oracle.n
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     start = oracle.count

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .core import (CountingOracle, Instance, Outcome, realize_instance,
                    replay_transcript, verify_graph, write_instance)
-from .profiles import (ClusterProfile, approx_L2_scan, cd, check_linear_subset,
+from .profiles import (ClusterProfile, approx_L2_scan, check_linear_subset,
                        lower_bound_block, lower_bound_combined,
                        lower_bound_median, reduction_budget, select_L1,
                        select_L2, write_profile)
@@ -174,9 +174,9 @@ def run_algorithm(algo: str, inst: Instance,
     n = len(inst)
     oracle = CountingOracle(inst)
     if algo == "oblivious":
-        return oracle, oblivious(oracle, n)
+        return oracle, oblivious(oracle)
     if algo == "doubling":
-        return oracle, order_doubling(oracle, n)
+        return oracle, order_doubling(oracle)
     # block reads the profile only for a default k, median for a default L
     given = {"block": k, "median": L}.get(algo)
     prof = (profile or profile_of_instance(inst)) if given is None else None
@@ -223,20 +223,18 @@ def check_report(inst: Instance, rep, cross_at=None) -> Optional[str]:
 def cmd_gen(out_dir: str, clique_n: Optional[int] = None,
             random_m: Optional[int] = None, random_n: Optional[int] = None,
             seed: int = 0):
+    seed = effective_seed(seed)
     if clique_n is not None:
         _at_least("--clique n", [clique_n], 1)
-    else:
-        _at_least("--profile-random n", [random_n], 1)
-        _at_least("--profile-random m", [random_m], 1, most=random_n)
-    seed = effective_seed(seed)
-    os.makedirs(out_dir, exist_ok=True)
-    if clique_n is not None:
         prof = ClusterProfile([clique_n])
         name = str(clique_n)
     else:
+        _at_least("--profile-random n", [random_n], 1)
+        _at_least("--profile-random m", [random_m], 1, most=random_n)
         rng = random.Random(seed)
         prof = ClusterProfile(power_law_sizes(rng, random_m, random_n))
         name = f"random-m{random_m}-n{random_n}-s{seed}"
+    os.makedirs(out_dir, exist_ok=True)
     inst = realize_instance(prof, seed=seed)
     violations = []
     if not verify_graph(inst, prof):
@@ -292,9 +290,13 @@ def cmd_duel(algo: str, n: int, profile: ClusterProfile,
              rounds: Optional[int] = None):
     if profile.n != n:
         raise ValueError(f"profile covers {profile.n} elements, not {n}")
+    if profile.m < 2:
+        raise ValueError("duel needs a profile of at least two clusters, "
+                         f"got {profile.m}")
     if rounds is not None:
         _at_least("--rounds", [rounds], 0)
-    budget = rounds if rounds is not None else reconstruction_budget(profile)
+    guaranteed = reconstruction_budget(profile)
+    budget = rounds if rounds is not None else guaranteed
     state = play_game(duel_opponent(algo, profile), n, budget)
     survived = state.halted is None  # opponent still running at the cap
     violations = []
@@ -306,7 +308,7 @@ def cmd_duel(algo: str, n: int, profile: ClusterProfile,
     except (RuntimeError, ValueError) as exc:
         # reconstruction is only guaranteed up to the default budget; a
         # failure past it is data (consistency stays False), not a violation
-        if budget <= reconstruction_budget(profile):
+        if budget <= guaranteed:
             violations.append(
                 f"reconstruction failed inside the guaranteed budget: {exc}")
     else:
@@ -353,7 +355,7 @@ def cmd_sweep_competitive(ns, reps: int, seed: int):
             prof = ClusterProfile(random_profile(rng, n, pid % 4))
             inst = realize_instance(prof, seed=derive_seed(seed, n, pid, 1))
             r_cv = clairvoyant(CountingOracle(inst), prof)
-            r_ob = oblivious(CountingOracle(inst), n)
+            r_ob = oblivious(CountingOracle(inst))
             bad = check_report(inst, r_cv) or check_report(inst, r_ob)
             for rep, name in ((r_cv, "clairvoyant"), (r_ob, "oblivious")):
                 if rep.outcome is not Outcome.DUPLICATE:
@@ -438,7 +440,7 @@ def bounds_row(pid: int, seed: int, nmax: int):
     _, obj, _ = approx_L2_scan(prof)
     L2, opt = select_L2(prof)
     factor = obj / opt
-    C2, D2 = cd(prof, L2)
+    C2, D2 = prof.c(L2), prof.d(L2)
     inst = realize_instance(prof, seed=derive_seed(seed, pid, 1))
     rep = block_sorting(CountingOracle(inst), range(n), 2 * D2)
     block_ok = (rep.outcome is Outcome.DUPLICATE

@@ -65,12 +65,6 @@ class ClusterProfile:
         return hash(tuple(self._sorted))
 
 
-def cd(profile: ClusterProfile, L: int) -> tuple[int, int]:
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    return profile.c(L), profile.d(L)
-
-
 # --- objective terms -------------------------------------------------------
 # These exact float expressions are part of the contract: tests compare
 # them against brute-force scans bit for bit.
@@ -195,12 +189,12 @@ def approx_L2_scan(profile: ClusterProfile) -> tuple[int, float, int]:
     return L, val, counter[0]
 
 
-def derive_reduced(profile: ClusterProfile) -> tuple[ClusterProfile, int, int]:
+def derive_reduced(profile: ClusterProfile) -> tuple[ClusterProfile, int]:
     """Delete maximum clusters until at most 3/4 of the vertices remain.
 
-    Returns (reduced profile, its vertex count, size of the smallest
-    deleted cluster).  Deletions are by decreasing size so the last one
-    deleted is the smallest; the result is never empty because no single
+    Returns (reduced profile, size of the smallest deleted cluster).
+    Deletions are by decreasing size so the last one deleted is the
+    smallest; the result is never empty because no single
     cluster can hold more than half of the remaining vertices at the
     time it becomes the only one left.
     """
@@ -212,7 +206,7 @@ def derive_reduced(profile: ClusterProfile) -> tuple[ClusterProfile, int, int]:
     while 4 * n_cur > 3 * n:
         n_cur -= remaining[k]
         k += 1
-    return ClusterProfile(remaining[k:]), n_cur, remaining[k - 1]
+    return ClusterProfile(remaining[k:]), remaining[k - 1]
 
 
 def lower_bound_median(profile: ClusterProfile) -> float:
@@ -243,8 +237,8 @@ def lower_bound_combined(profile: ClusterProfile) -> float:
 def reduction_budget(profile: ClusterProfile) -> float:
     """min(n'/8, (1/32)*min_{C'(L)<n'} (C'+D')*max(1,log2 D')) over the
     reduced profile G' of derive_reduced, with n' its vertex count."""
-    reduced, n_prime, _ = derive_reduced(profile)
-    return min(n_prime / 8.0,
+    reduced, _ = derive_reduced(profile)
+    return min(reduced.n / 8.0,
                _bound2_min(reduced, 1, reduced.piece_starts())[1] / 32.0)
 
 

@@ -9,11 +9,12 @@ side are legitimate input structure, never output.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, groupby
 
-from .algorithms import doubling_spans, run_spans
+from .algorithms import doubling_spans
 from .core import (CountingOracle, Instance, Outcome, RunReport,
                    parse_int_line, write_lines)
 from .sortsel import (EQ, check_indices, drive, merge_sort_gen, select_gen,
@@ -143,7 +144,6 @@ def realize_si_family(n: int, i: int, seed: int = 0,
     si_clairvoyant); everything else gets shuffled ranks and positions.
     partner_last pins B's intersecting element to B's final position.
     """
-    import random
     rng = random.Random(seed)
     prof = si_family(n, i)
     s, big = si_shape(n)
@@ -162,7 +162,8 @@ def realize_si_family(n: int, i: int, seed: int = 0,
         b_vals.append(ranks[i - 1])
         rng.shuffle(b_vals)
     inst = SIInstance(tuple(a_vals), tuple(b_vals))
-    assert verify_bipartite(inst, prof)
+    if not verify_bipartite(inst, prof):
+        raise RuntimeError("realized instance is not in the target family")
     return inst
 
 
@@ -176,7 +177,7 @@ def si_doubling_gen(na: int, nb: int):
     sorted multiset gets directly compared during some merge.  A plain
     function that returns the `sort_spans_gen` generator over
     ``doubling_spans(na, nb)``, with ``cross_at=na``; the runner
-    `si_doubling` sorts the same spans through `run_spans`.
+    `si_doubling` sorts the same spans through `sort_spans`.
 
     The witness comes out as (A index, B index) with no reordering.  A
     merge asks (left item, right item), and its left span precedes its
@@ -188,8 +189,8 @@ def si_doubling_gen(na: int, nb: int):
 
 
 def si_doubling(oracle: CountingOracle, na: int, nb: int) -> RunReport:
-    return run_spans(oracle, doubling_spans(na, nb), Outcome.DISTINCT,
-                     cross_at=na)
+    return sort_spans(oracle, doubling_spans(na, nb), Outcome.DISTINCT,
+                      cross_at=na)
 
 
 def si_clairvoyant_gen(na: int, nb: int, i: int):

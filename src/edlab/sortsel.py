@@ -22,7 +22,8 @@ instance the move's cost and first witness are functions of the values,
 so ``sort_spans`` computes them without a request; in adversary mode it
 drives ``sort_spans_gen``.  ``select`` does the same for ``select_gen``,
 through ``select_values``, which median recursion and SI clairvoyant
-also use for their pivots.
+also use for their pivots.  ``sort_spans`` is the runner of all three
+span sorts and returns the run's ``RunReport``.
 
 Driver contract.  Every request is an ``(x, y)`` pair, and every
 request a generator sends an oracle passes through one loop,
@@ -54,7 +55,7 @@ from itertools import compress
 from operator import ne
 from typing import Callable
 
-from .core import Answer, CountingOracle, Outcome
+from .core import Answer, CountingOracle, Outcome, RunReport
 
 LT, EQ, GT = Answer.LT, Answer.EQ, Answer.GT
 
@@ -178,10 +179,13 @@ def sort_spans_gen(spans, end, cross_at=None, stats=None):
     return end, None
 
 
-def sort_spans(oracle: CountingOracle, spans, end, cross_at=None, stats=None):
-    """What ``drive(sort_spans_gen(spans, end, cross_at, stats), oracle)``
-    returns, with the same ``oracle.count`` and stats, on spans of
-    distinct indices in 0..n-1.
+def sort_spans(oracle: CountingOracle, spans, end, cross_at=None,
+               stats=None) -> RunReport:
+    """The report of ``sort_spans_gen(spans, end, cross_at, stats)``:
+    the runner of every span sort, for element distinctness and, with
+    ``cross_at``, set intersection.  Its comparisons are the growth of
+    ``oracle.count`` during the call, on spans of distinct indices in
+    0..n-1.
 
     An adversary-mode oracle drives that generator.  On a realized
     instance each span is evaluated from the values instead, with no
@@ -191,17 +195,23 @@ def sort_spans(oracle: CountingOracle, spans, end, cross_at=None, stats=None):
     not charged; the generator refuses it only if a request reaches the
     bad index.
     """
+    start = oracle.count
     vals = oracle._values
     if vals is None:
-        return drive(sort_spans_gen(spans, end, cross_at, stats), oracle)
-    for iters, span in enumerate(spans, 1):
-        if stats is not None:
-            stats["iterations"] = iters
-        cost, hit = _span_cost(vals, list(span), cross_at)
-        oracle.count += cost
-        if hit is not None:
-            return Outcome.DUPLICATE, hit
-    return end, None
+        outcome, witness = drive(sort_spans_gen(spans, end, cross_at, stats),
+                                 oracle)
+    else:
+        outcome, witness = end, None
+        for iters, span in enumerate(spans, 1):
+            if stats is not None:
+                stats["iterations"] = iters
+            cost, hit = _span_cost(vals, list(span), cross_at)
+            oracle.count += cost
+            if hit is not None:
+                outcome, witness = Outcome.DUPLICATE, hit
+                break
+    return RunReport(outcome, witness, oracle.count - start,
+                     stats=stats or {})
 
 
 def check_indices(n: int, items) -> None:

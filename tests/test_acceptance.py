@@ -21,7 +21,7 @@ from edlab.core import (Answer, CountingOracle, Outcome, realize_instance,
                         replay_transcript, verify_graph)
 from edlab.harness import (duel_opponent, random_multicluster_profile,
                            random_profile, separation_row)
-from edlab.profiles import (ClusterProfile, approx_L2_scan, cd,
+from edlab.profiles import (ClusterProfile, approx_L2_scan,
                             check_linear_subset, lower_bound_block,
                             lower_bound_combined, lower_bound_median,
                             select_L1, select_L2)
@@ -59,7 +59,7 @@ def duplicate_suite():
         prof = ClusterProfile(random_profile(rng, n, t % 4))
         inst = realize_instance(prof, seed=t)
         L2, _ = select_L2(prof)
-        C2, D2 = cd(prof, L2)
+        C2, D2 = prof.c(L2), prof.d(L2)
         if block_checked < 200 and 2 * C2 < n:
             block_checked += 1
             rep = block_sorting(CountingOracle(inst), range(n), 2 * D2)
@@ -254,7 +254,7 @@ def test_criterion_07_oblivious_competitiveness():
         prof = ClusterProfile(random_profile(rng, n, t % 4))
         inst = realize_instance(prof, seed=300 + t)
         rep_c = clairvoyant(CountingOracle(inst), prof)
-        rep_o = oblivious(CountingOracle(inst), n)
+        rep_o = oblivious(CountingOracle(inst))
         if rep_o.outcome is not Outcome.DUPLICATE:
             bad.append(f"profile {t}: oblivious found no duplicate")
             continue
@@ -269,8 +269,8 @@ def test_criterion_07_oblivious_competitiveness():
 def test_criterion_08_order_model_separation():
     n = 2 ** 12
     inst, k, _ = order_game(n)
-    rep_b = order_baseline(CountingOracle(inst), n, k)
-    rep_d = order_doubling(CountingOracle(inst), n)
+    rep_b = order_baseline(CountingOracle(inst), k)
+    rep_d = order_doubling(CountingOracle(inst))
     bad = []
     if rep_b.outcome is not Outcome.DUPLICATE:
         bad.append("baseline missed the adjacent-rank pair")

@@ -221,7 +221,7 @@ def test_order_game_structure():
     assert inst.values[n - 2] == inst.values[n - 1]  # pair hides at the top
     ordered = sorted(inst.values)
     assert ordered[k - 1] == ordered[k] == inst.values[n - 1]
-    rep = order_baseline(CountingOracle(instance=inst), n, k)
+    rep = order_baseline(CountingOracle(instance=inst), k)
     assert rep.outcome is Outcome.DUPLICATE
 
 
@@ -229,6 +229,12 @@ def test_order_game_is_deterministic():
     a = order_game(32)
     b = order_game(32)
     assert a[0] == b[0] and a[1] == b[1]
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_order_game_refuses_fewer_than_two_elements(n):
+    with pytest.raises(ValueError, match=r"^need n >= 2$"):
+        order_game(n)
 
 
 # --- bipartite game ---------------------------------------------------------------

@@ -197,7 +197,7 @@ def test_clairvoyant_outcome_matches_profile(p, seed):
 def test_preprocess_one_clique_plan():
     p = ClusterProfile([8])
     plan = preprocess(p)
-    assert plan.mode == "block" and plan.k == 2
+    assert plan.k == 2
     inst = realize_instance(p, 0)
     rep = run_preprocessed(plan, oracle_for(inst.values))
     assert rep.outcome is Outcome.DUPLICATE and rep.comparisons == 1
@@ -205,7 +205,7 @@ def test_preprocess_one_clique_plan():
 
 def test_preprocess_defers_on_flat_profiles():
     plan = preprocess(ClusterProfile([1] * 32))
-    assert plan.mode == "defer"
+    assert plan.k is None
 
 
 def test_run_preprocessed_rejects_mismatch():
@@ -231,13 +231,13 @@ def test_run_preprocessed_within_triple_clairvoyant_budget(p, seed):
 # --- order-oblivious doubling and rank baseline ---------------------------------
 
 def test_doubling_immediate_pair():
-    rep = order_doubling(oracle_for([5, 5]), 2)
+    rep = order_doubling(oracle_for([5, 5]))
     assert rep.outcome is Outcome.DUPLICATE and rep.comparisons == 1
 
 
 def test_doubling_distinct_cost():
     vals = [3, 7, 1, 0, 6, 2, 5, 4]
-    rep = order_doubling(oracle_for(vals), 8)
+    rep = order_doubling(oracle_for(vals))
     assert rep.outcome is Outcome.DISTINCT
     assert rep.comparisons <= 2 + 8 + 24  # sort costs at k = 2, 4, 8
 
@@ -245,7 +245,7 @@ def test_doubling_distinct_cost():
 def test_doubling_pair_hidden_at_the_end():
     n = 16
     vals = list(range(n - 2)) + [n - 2, n - 2]
-    rep = order_doubling(oracle_for(vals), n)
+    rep = order_doubling(oracle_for(vals))
     assert rep.outcome is Outcome.DUPLICATE
     assert rep.comparisons > 1 + 5 + 17  # every prefix block pays first
     check_witness(vals, rep)
@@ -261,19 +261,19 @@ def test_order_baseline_finds_known_rank_pair():
         rng.shuffle(vals)
         k = sorted(vals).index(dup) + 1
         o = oracle_for(vals)
-        rep = order_baseline(o, n, k)
+        rep = order_baseline(o, k)
         assert rep.outcome is Outcome.DUPLICATE
         check_witness(vals, rep)
 
 
 def test_order_baseline_gives_up_without_promise():
     vals = [4, 2, 0, 3, 1]
-    rep = order_baseline(oracle_for(vals), 5, 2)
+    rep = order_baseline(oracle_for(vals), 2)
     assert rep.outcome is Outcome.GAVE_UP
 
 
 def test_order_baseline_rank_errors():
     with pytest.raises(ValueError):
-        order_baseline(oracle_for([1, 2]), 2, 0)
+        order_baseline(oracle_for([1, 2]), 0)
     with pytest.raises(ValueError):
-        order_baseline(oracle_for([1, 2]), 2, 2)
+        order_baseline(oracle_for([1, 2]), 2)

@@ -85,11 +85,11 @@ def run_case(algo, n, mode) -> dict:
     elif algo == "clairvoyant":
         rep = clairvoyant(oracle, prof)
     elif algo == "oblivious":
-        rep = oblivious(oracle, n)
+        rep = oblivious(oracle)
     elif algo == "preprocessed":
         rep = run_preprocessed(preprocess(prof), oracle)
     else:
-        rep = order_doubling(oracle, n)
+        rep = order_doubling(oracle)
     return _report(rep, oracle)
 
 
@@ -137,8 +137,8 @@ def order_case(n) -> dict:
     rec = {"k": k, "rounds": state.rounds_played,
            "transcript": _digest(state.transcript),
            "values": _digest(inst.values)}
-    for name, runner in (("baseline", lambda o: order_baseline(o, n, k)),
-                         ("doubling", lambda o: order_doubling(o, n))):
+    for name, runner in (("baseline", lambda o: order_baseline(o, k)),
+                         ("doubling", order_doubling)):
         oracle = recording_oracle(inst.values)
         rec[name] = _report(runner(oracle), oracle)
     return rec

@@ -565,6 +565,7 @@ BAD_INPUT_FILES = {
     "early.si": "1\nA:\n1\nB:\n1\n",
     "ok.si": "A:\n1\nB:\n1\n",
     "other.prof": "2\n2\n",
+    "one.prof": "16\n",
     "zero.prof": "2\n0\n",
     "empty.prof": "\n",
     "empty.si": "",
@@ -645,6 +646,8 @@ FILE_ERRORS = [
     ["si", "run", "--algo", "clairvoyant", "--input", "a3.si", "--i", "1"],
     ["si", "run", "--algo", "clairvoyant", "--input", "a27.si", "--i", "1"],
     *(args for args, _ in FILE_ERRORS),
+    ["duel", "--algo", "block", "--profile", "one.prof"],
+    ["duel", "--algo", "block", "--profile", "one.prof", "--rounds", "5"],
 ])
 def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -700,11 +703,15 @@ def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
     (["gen", "--profile-random", "m=1", "n=0"],
      "--profile-random n must be at least 1, got 0"),
     *FILE_ERRORS,
+    (["duel", "--algo", "block", "--profile", "one.prof"],
+     "duel needs a profile of at least two clusters, got 1"),
+    (["duel", "--algo", "oblivious", "--profile", "one.prof", "--rounds", "5"],
+     "duel needs a profile of at least two clusters, got 1"),
 ])
 def test_cli_bad_option_is_named_with_what_it_takes(args, message, tmp_path,
                                                    monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for name in ("other.prof", "pair.inst", "a27.si"):
+    for name in ("other.prof", "one.prof", "pair.inst", "a27.si"):
         (tmp_path / name).write_text(BAD_INPUT_FILES[name])
     write_si_instance("fam64.si", realize_si_family(64, 1, seed=0))
     res = CliRunner().invoke(main, args)

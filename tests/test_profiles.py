@@ -14,7 +14,7 @@ from bruteforce import (brute_approx_L2_scan, brute_cd,
                         brute_select_L2)
 from edlab.harness import (cmd_profile_bounds, cmd_profile_stats,
                            random_multicluster_profile, random_profile)
-from edlab.profiles import (ClusterProfile, approx_L2_scan, cd,
+from edlab.profiles import (ClusterProfile, approx_L2_scan,
                             check_linear_subset, derive_reduced,
                             lower_bound_block, lower_bound_combined,
                             lower_bound_median, read_profile,
@@ -34,11 +34,9 @@ def test_profile_validation():
 
 def test_cd_step_values():
     p = ClusterProfile([3, 1, 1, 1])
-    assert cd(p, 1) == (0, 4)
-    assert cd(p, 2) == (3, 1)
-    assert cd(p, 4) == (6, 0)
-    with pytest.raises(ValueError):
-        cd(p, 0)
+    assert (p.c(1), p.d(1)) == (0, 4)
+    assert (p.c(2), p.d(2)) == (3, 1)
+    assert (p.c(4), p.d(4)) == (6, 0)
 
 
 def test_piece_starts():
@@ -82,7 +80,7 @@ def test_piece_scan_equals_full_scan(p):
     L2, bound2 = select_L2(p)
     assert (L2, bound2) == brute_select_L2(p.sizes)
     # harness.bounds_row block-sorts at this cut with k = 2*D(L2) unguarded
-    C2, D2 = cd(p, L2)
+    C2, D2 = p.c(L2), p.d(L2)
     assert 2 * C2 < p.n
     assert D2 >= 1
     assert bound2 >= 1
@@ -171,12 +169,12 @@ def test_approx_L2_within_factor_three(p):
 
 
 def test_derive_reduced_examples():
-    r, n_prime, deleted = derive_reduced(ClusterProfile([4, 2, 2]))
-    assert (sorted(r.sizes), n_prime, deleted) == ([2, 2], 4, 4)
-    r, n_prime, deleted = derive_reduced(ClusterProfile([5, 1, 1, 1]))
-    assert (sorted(r.sizes), n_prime, deleted) == ([1, 1, 1], 3, 5)
-    r, n_prime, deleted = derive_reduced(ClusterProfile([4, 4, 4, 4]))
-    assert (sorted(r.sizes), n_prime, deleted) == ([4, 4, 4], 12, 4)
+    r, deleted = derive_reduced(ClusterProfile([4, 2, 2]))
+    assert (sorted(r.sizes), r.n, deleted) == ([2, 2], 4, 4)
+    r, deleted = derive_reduced(ClusterProfile([5, 1, 1, 1]))
+    assert (sorted(r.sizes), r.n, deleted) == ([1, 1, 1], 3, 5)
+    r, deleted = derive_reduced(ClusterProfile([4, 4, 4, 4]))
+    assert (sorted(r.sizes), r.n, deleted) == ([4, 4, 4], 12, 4)
     with pytest.raises(ValueError):
         derive_reduced(ClusterProfile([7]))
 
@@ -185,8 +183,8 @@ def test_derive_reduced_examples():
 def test_derive_reduced_invariants(p):
     if p.m < 2:
         return
-    r, n_prime, deleted = derive_reduced(p)
-    assert n_prime == sum(r.sizes) <= 0.75 * p.n
+    r, deleted = derive_reduced(p)
+    assert r.n == sum(r.sizes) <= 0.75 * p.n
     assert deleted >= max(r.sizes)  # deletions go largest-first
 
 

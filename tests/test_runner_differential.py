@@ -119,7 +119,7 @@ def _report_matches(rep, ref_gen, values, ref_stats=None):
 def test_span_runners_match_reference_on_instances(values, data):
     n = len(values)
     inst = Instance(tuple(values))
-    _report_matches(order_doubling(CountingOracle(inst), n),
+    _report_matches(order_doubling(CountingOracle(inst)),
                     brute_doubling_gen(n), values)
     if data is None:
         cases = [(k, range(n)) for k in range(1, n + 3)]

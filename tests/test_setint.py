@@ -22,6 +22,11 @@ def test_bipartite_profile_of_small():
     assert not verify_bipartite(inst, BipartiteProfile([(2, 2)]))
 
 
+def test_bipartite_profile_repr_lists_every_cluster_sorted():
+    prof = BipartiteProfile([(2, 0), (0, 1), (1, 1), (0, 1)])
+    assert repr(prof) == "BipartiteProfile([(0, 1), (0, 1), (1, 1), (2, 0)])"
+
+
 def test_bipartite_profile_validation():
     with pytest.raises(ValueError):
         BipartiteProfile([(0, 0)])

@@ -43,11 +43,16 @@ def cases(draw, max_n=60):
     return values, spans, cross_at
 
 
+def _verdict(rep):
+    return rep.outcome, rep.witness
+
+
 def _both(values, spans, cross_at, end=Outcome.DISTINCT):
     """(result, count, stats) from the generator, then from sort_spans."""
     out = []
     for run in (lambda o, st_: drive(sort_spans_gen(spans, end, cross_at, st_), o),
-                lambda o, st_: sort_spans(o, spans, end, cross_at, st_)):
+                lambda o, st_: _verdict(sort_spans(o, spans, end, cross_at,
+                                                   st_))):
         oracle, stats = CountingOracle(Instance(tuple(values))), {}
         out.append((run(oracle, stats), oracle.count, stats))
     return out
@@ -77,10 +82,26 @@ def test_sort_spans_replays_generator_transcript_in_adversary_mode():
         ref_stats, got_stats = {}, {}
         want = drive(sort_spans_gen(spans, Outcome.DISTINCT, cross_at,
                                     ref_stats), ref)
-        assert sort_spans(got, spans, Outcome.DISTINCT, cross_at,
-                          got_stats) == want
+        assert _verdict(sort_spans(got, spans, Outcome.DISTINCT, cross_at,
+                                   got_stats)) == want
         assert got.transcript == ref.transcript
         assert (got.count, got_stats) == (ref.count, ref_stats)
+
+
+@pytest.mark.parametrize("make", [lambda v: CountingOracle(Instance(v)),
+                                  recording_oracle],
+                         ids=["instance", "adversary"])
+@pytest.mark.parametrize("cross_at", [None, 4])
+def test_span_report_counts_only_its_own_comparisons(make, cross_at):
+    # a select charges the oracle first; the report must not include it
+    values = (4, 1, 3, 1, 0, 2, 4, 5)
+    spans = [[0, 1, 2], [7, 6, 5, 4, 3, 2, 1, 0]]
+    oracle = make(values)
+    select(oracle, range(8), 3)
+    start = oracle.count
+    assert start > 0
+    rep = sort_spans(oracle, spans, Outcome.DISTINCT, cross_at)
+    assert rep.comparisons == oracle.count - start > 0
 
 
 @pytest.mark.parametrize("cross_at", [None, 2])
@@ -142,7 +163,7 @@ def test_span_runners_issue_no_request_in_instance_mode():
     for runner, gen in (
             (lambda o: block_sorting(o, range(n), 3),
              lambda: algorithms.block_sorting_gen(range(n), 3, {})),
-            (lambda o: order_doubling(o, n),
+            (order_doubling,
              lambda: algorithms.doubling_gen(n))):
         oracle = CountingOracle(inst)
         want = drive(gen(), oracle)
@@ -167,9 +188,9 @@ def test_value_runners_issue_no_request_in_instance_mode():
             lambda o: algorithms.median_recursion(o, [5, 0, 9, 2, 14], 2),
             lambda o: clairvoyant(o, prof),
             lambda o: algorithms.run_preprocessed(
-                algorithms.PreprocessedPlan("block", prof, k=4), o),
+                algorithms.PreprocessedPlan(prof, k=4), o),
             lambda o: algorithms.run_preprocessed(
-                algorithms.PreprocessedPlan("defer", prof), o)):
+                algorithms.PreprocessedPlan(prof), o)):
         rep = runner(_Silent(inst))
         assert rep == runner(CountingOracle(inst))
     assert clairvoyant(_Silent(inst), prof).stats["path"] == "median"

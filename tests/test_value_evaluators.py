@@ -177,9 +177,9 @@ def test_clairvoyant_and_preprocessed_replay_generator_transcripts(vals,
     n = len(vals)
     prof = ClusterProfile([vals.count(v) for v in sorted(set(vals))])
     for run in (lambda o: clairvoyant(o, prof),
-                lambda o: run_preprocessed(PreprocessedPlan("defer", prof), o),
+                lambda o: run_preprocessed(PreprocessedPlan(prof), o),
                 lambda o: run_preprocessed(
-                    PreprocessedPlan("block", prof, k=4), o)):
+                    PreprocessedPlan(prof, k=4), o)):
         got = recording_oracle(vals)
         rep = run(got)
         fast = run(CountingOracle(Instance(vals)))
