@@ -177,20 +177,41 @@ def write_instance(path, instance: Instance) -> None:
 
 
 def parse_int_line(path, lineno: int, text: str) -> int:
-    """``int(text)``, or a ValueError that names ``path:lineno``."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{path}:{lineno}: expected an integer, "
-                         f"got {text.strip()!r}") from None
+    """The integer on a line of ASCII digits with an optional leading
+    ``-``, the one form the writers emit, whitespace around it aside.
+    Anything else is a ValueError that names ``path:lineno`` and quotes
+    at most 40 characters of the line."""
+    text = text.strip()
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    shown = text if len(text) <= 40 else text[:40] + "..."
+    raise ValueError(f"{path}:{lineno}: expected an integer, got {shown!r}")
+
+
+def text_lines(path):
+    """(line number, stripped text) for each non-blank line of a UTF-8
+    text file whose lines end in LF or CRLF.  A line that is not UTF-8
+    is a ValueError that names ``path:lineno``; each line is decoded on
+    its own, so the position quoted is the byte's within that line."""
+    with open(path, "rb") as fh:
+        for no, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as err:
+                raise ValueError(f"{path}:{no}: {err}") from None
+            if line:
+                yield no, line
 
 
 def read_int_lines(path) -> list:
     """(line number, integer) for each non-blank line of a file with one
     integer per line; a file with none is an error that names it."""
-    with open(path, encoding="utf-8") as fh:
-        rows = [(no, parse_int_line(path, no, line))
-                for no, line in enumerate(fh, 1) if line.strip()]
+    rows = [(no, parse_int_line(path, no, line))
+            for no, line in text_lines(path)]
     if not rows:
         raise ValueError(f"{path}: no values in file")
     return rows

@@ -16,7 +16,7 @@ from itertools import chain, groupby
 
 from .algorithms import doubling_spans
 from .core import (CountingOracle, Instance, Outcome, RunReport,
-                   parse_int_line, write_lines)
+                   parse_int_line, text_lines, write_lines)
 from .sortsel import (EQ, check_indices, drive, merge_sort_gen, select_gen,
                       select_values, sort_spans, sort_spans_gen)
 
@@ -289,22 +289,18 @@ def read_si_instance(path) -> SIInstance:
     a_vals, b_vals = [], []
     sections = {"A:": a_vals, "B:": b_vals}
     target = None
-    with open(path, encoding="utf-8") as fh:
-        for no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line in sections:
-                target = sections[line]
-                if target is None:
-                    raise ValueError(
-                        f"{path}:{no}: repeated section header {line}")
-                sections[line] = None
-            else:
-                if target is None:
-                    raise ValueError(
-                        f"{path}:{no}: values before any section header")
-                target.append(parse_int_line(path, no, line))
+    for no, line in text_lines(path):
+        if line in sections:
+            target = sections[line]
+            if target is None:
+                raise ValueError(
+                    f"{path}:{no}: repeated section header {line}")
+            sections[line] = None
+        else:
+            if target is None:
+                raise ValueError(
+                    f"{path}:{no}: values before any section header")
+            target.append(parse_int_line(path, no, line))
     for name, vals in (("A", a_vals), ("B", b_vals)):
         if not vals:
             raise ValueError(f"{path}: no values in section {name}:")

@@ -51,8 +51,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import compress
-from operator import ne
+from operator import lt
 from typing import Callable
 
 from .core import Answer, CountingOracle, Outcome, RunReport
@@ -189,7 +188,9 @@ def sort_spans(oracle: CountingOracle, spans, end, cross_at=None,
 
     An adversary-mode oracle drives that generator.  On a realized
     instance each span is evaluated from the values instead, with no
-    request, and its cost is added to ``oracle.count`` once it is known.
+    request, reusing the sorted runs that earlier spans of the call
+    share with it, and its cost is added to ``oracle.count`` once it is
+    known.
     There a span holding an index out of range or an index twice is
     refused with ValueError before any of its merges, and its cost is
     not charged; the generator refuses it only if a request reaches the
@@ -202,10 +203,11 @@ def sort_spans(oracle: CountingOracle, spans, end, cross_at=None,
                                  oracle)
     else:
         outcome, witness = end, None
+        memo = {}
         for iters, span in enumerate(spans, 1):
             if stats is not None:
                 stats["iterations"] = iters
-            cost, hit = _span_cost(vals, list(span), cross_at)
+            cost, hit = _span_cost(vals, list(span), cross_at, memo)
             oracle.count += cost
             if hit is not None:
                 outcome, witness = Outcome.DUPLICATE, hit
@@ -218,8 +220,9 @@ def check_indices(n: int, items) -> None:
     """Refuse ``items`` with ValueError unless its indices are distinct
     and in 0..n-1, naming the first index out of range or the first met
     a second time.  The value evaluators call this at entry, before they
-    charge anything: a negative index would otherwise read a value from
-    the end, where the oracle refuses it."""
+    charge anything (the span evaluator skips it for a strictly
+    ascending span whose ends are in range): a negative index would
+    otherwise read a value from the end, where the oracle refuses it."""
     if not items:
         return
     # a range's ends are its extremes, and it holds no index twice: a
@@ -235,7 +238,15 @@ def check_indices(n: int, items) -> None:
         raise ValueError(f"comparison of an index with itself: {x}")
 
 
-def _span_cost(vals, a, cross_at):
+# A subtree whose indices are a contiguous ascending run sorts the same
+# way in every span that holds it, so sort_spans keeps (cost, sorted
+# values) of such runs of at least _MEMO_MIN items, met in the top
+# _MEMO_DEPTH levels of a span: prefix 2k's halves are then prefix k's.
+_MEMO_MIN = 64
+_MEMO_DEPTH = 3
+
+
+def _span_cost(vals, a, cross_at, memo):
     """(comparisons, witness or None) of ``merge_sort_gen(a, cross_at)``
     when ``vals`` answers every request, for ``a`` a list of distinct
     indices in 0..len(vals)-1.
@@ -249,19 +260,28 @@ def _span_cost(vals, a, cross_at):
     values of L and R are met in ascending order, each as R's first
     item of that value against L's run of it in position order (the
     generator's merges are stable), and the first of those EQs that is
-    a witness ends the sort.
+    a witness ends the sort.  With ``cross_at``, a subtree of an
+    ascending span whose items all lie on one side of it holds no
+    witness and is sorted without looking for one; in any other span
+    each EQ is tested.
 
-    Any other span is refused with ValueError before the first merge,
-    naming the first index out of range or the first index met a second
-    time.
+    ``memo`` maps (first index, length) of a contiguous ascending run to
+    its (cost, sorted values), for runs sorted clean by earlier calls
+    with the same ``vals`` and ``cross_at``; this call adds its own.
+    The lists in it are never changed.
+
+    A span that is not such a list is refused with ValueError before
+    the first merge, naming the first index out of range or the first
+    index met a second time.  A strictly ascending span is checked by
+    its two ends.
     """
-    check_indices(len(vals), a)
-    if cross_at is not None:
-        # the positions p where a[p - 1] and a[p] lie on different sides
-        # of cross_at: a merge of a[lo:hi] holds both sides when one of
-        # them lies in lo+1..hi-1
-        side = list(map(cross_at.__gt__, a))
-        turns = list(compress(range(1, len(a)), map(ne, side, side[1:])))
+    ascending = all(map(lt, a, a[1:]))
+    if not (ascending and a and 0 <= a[0] and a[-1] < len(vals)):
+        check_indices(len(vals), a)
+    # an ascending span's items below cross_at are a[:turn], so a[lo:hi]
+    # holds both sides only when lo < turn < hi
+    turn = (bisect_left(a, cross_at)
+            if cross_at is not None and ascending else None)
     cost = 0
     hit = None
 
@@ -282,7 +302,7 @@ def _span_cost(vals, a, cross_at):
                     return True
         return False
 
-    def run(lo, hi):
+    def run(lo, hi, depth):
         # sorted values of a[lo:hi], or None once a witness is found
         nonlocal cost, hit
         if hi - lo == 2:
@@ -299,20 +319,57 @@ def _span_cost(vals, a, cross_at):
             return [vx, vy]
         if hi - lo == 1:
             return [vals[a[lo]]]
+        clean = turn is not None and not lo < turn < hi
+        key = None
+        if (depth < _MEMO_DEPTH and ascending and hi - lo >= _MEMO_MIN
+                and a[hi - 1] - a[lo] == hi - lo - 1):
+            key = (a[lo], hi - lo)
+            if key in memo:
+                c, S = memo[key]
+                cost += c
+                return S
+            before = cost
         mid = (lo + hi) // 2
-        L = run(lo, mid)
-        if L is None:
-            return None
-        R = run(mid, hi)
-        if R is None:
-            return None
-        if cross_at is None:
-            may_stop = True
+        if clean and depth >= _MEMO_DEPTH - 1:
+            L = lean(lo, mid)
+            R = lean(mid, hi)
         else:
-            t = bisect_right(turns, lo)
-            may_stop = t < len(turns) and turns[t] < hi
-        if may_stop and not set(L).isdisjoint(R) and stop(lo, mid, hi, L, R):
+            L = run(lo, mid, depth + 1)
+            if L is None:
+                return None
+            R = run(mid, hi, depth + 1)
+            if R is None:
+                return None
+        if (not clean and not set(L).isdisjoint(R)
+                and stop(lo, mid, hi, L, R)):
             return None
+        if L[-1] <= R[-1]:
+            cost += len(L) + bisect_left(R, L[-1])
+        else:
+            cost += len(R) + bisect_right(L, R[-1])
+        # a child above depth _MEMO_DEPTH may have come from or gone
+        # into the memo, whose lists stay unchanged
+        if depth < _MEMO_DEPTH - 1:
+            L = L + R
+        else:
+            L += R
+        L.sort()
+        if key is not None:
+            memo[key] = (cost - before, L)
+        return L
+
+    def lean(lo, hi):
+        # sorted values of a[lo:hi], which holds no witness
+        nonlocal cost
+        if hi - lo == 2:
+            vx, vy = vals[a[lo]], vals[a[lo + 1]]
+            cost += 1
+            return [vx, vy] if vx <= vy else [vy, vx]
+        if hi - lo == 1:
+            return [vals[a[lo]]]
+        mid = (lo + hi) // 2
+        L = lean(lo, mid)
+        R = lean(mid, hi)
         if L[-1] <= R[-1]:
             cost += len(L) + bisect_left(R, L[-1])
         else:
@@ -322,7 +379,7 @@ def _span_cost(vals, a, cross_at):
         return L
 
     if len(a) >= 2:
-        run(0, len(a))
+        run(0, len(a), 0)
     return cost, hit
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edlab.core import (Answer, CountingOracle, Instance, Outcome,
-                        ceil_log2, read_instance,
+                        ceil_log2, parse_int_line, read_instance,
                         realize_instance, replay_transcript, verify_graph,
                         write_instance)
 from edlab.profiles import ClusterProfile
@@ -154,6 +154,39 @@ def test_instance_file_round_trip(tmp_path):
     p = tmp_path / "inst"
     write_instance(p, inst)
     assert read_instance(p) == inst
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", 0), ("17", 17), ("-4", -4), ("007", 7), ("  12 \n", 12),
+    ("9" * 4000, int("9" * 4000))])
+def test_parse_int_line_reads_ascii_digits(text, value):
+    assert parse_int_line("f", 1, text) == value
+
+
+# the writers emit str(int); int() reads the first four of these too
+@pytest.mark.parametrize("text", [
+    "1_0", "\u0661\u0662", "+3", "\uff13", "1 2", "-", "--1", "0x10", "",
+    "3.0"])
+def test_parse_int_line_refuses_other_spellings(text):
+    with pytest.raises(ValueError) as err:
+        parse_int_line("f", 2, text)
+    assert str(err.value) == f"f:2: expected an integer, got {text!r}"
+
+
+def test_parse_int_line_quotes_a_long_line_in_part():
+    with pytest.raises(ValueError) as err:
+        parse_int_line("f", 3, "9" * 5000)
+    shown = "9" * 40 + "..."
+    assert str(err.value) == f"f:3: expected an integer, got {shown!r}"
+
+
+def test_a_file_that_is_not_utf8_is_named_with_its_line(tmp_path):
+    p = tmp_path / "late.inst"
+    p.write_bytes(b"1\r\n" * 6000 + b"2\xff\n")
+    with pytest.raises(ValueError) as err:
+        read_instance(p)
+    assert str(err.value) == (f"{p}:6001: 'utf-8' codec can't decode byte "
+                              "0xff in position 1: invalid start byte")
 
 
 def test_outcome_labels():

@@ -575,7 +575,21 @@ BAD_INPUT_FILES = {
     "repeated.si": "A:\n1\nB:\n2\nA:\n2\n",
     "a3.si": "A:\n1\n2\n3\nB:\n1\n",
     "a27.si": "A:\n" + "".join(f"{v}\n" for v in range(27)) + "B:\n0\n",
+    "latin1.inst": b"\xff1\n2\n",
+    "latin1.prof": b"2\n\xff\n",
+    "latin1.si": b"A:\n1\nB:\n\xff\n",
+    "underscore.inst": "1_0\n2\n",
+    "arabic.inst": "1\n\u0661\u0662\n",
+    "plus.prof": "+3\n",
+    "plus.si": "A:\n1\nB:\n+1\n",
 }
+
+
+def _write_files(folder, names):
+    for name in names:
+        text = BAD_INPUT_FILES[name]
+        (folder / name).write_bytes(
+            text if isinstance(text, bytes) else text.encode("utf-8"))
 
 
 # a bad file's message names the file, and the line where there is one
@@ -589,7 +603,14 @@ BAD_FILE_AT = {"garbled.inst": "garbled.inst:2:",
                "no_b.si": "no_b.si:",
                "empty_a.si": "empty_a.si:",
                "empty_b.si": "empty_b.si:",
-               "repeated.si": "repeated.si:5:"}
+               "repeated.si": "repeated.si:5:",
+               "latin1.inst": "latin1.inst:1:",
+               "latin1.prof": "latin1.prof:2:",
+               "latin1.si": "latin1.si:4:",
+               "underscore.inst": "underscore.inst:1:",
+               "arabic.inst": "arabic.inst:2:",
+               "plus.prof": "plus.prof:1:",
+               "plus.si": "plus.si:4:"}
 
 
 # a file the system refuses: its message names the path
@@ -648,11 +669,17 @@ FILE_ERRORS = [
     *(args for args, _ in FILE_ERRORS),
     ["duel", "--algo", "block", "--profile", "one.prof"],
     ["duel", "--algo", "block", "--profile", "one.prof", "--rounds", "5"],
+    ["run", "--algo", "block", "--input", "latin1.inst"],
+    ["profile", "stats", "latin1.prof"],
+    ["si", "run", "--algo", "doubling", "--input", "latin1.si"],
+    ["run", "--algo", "block", "--input", "underscore.inst"],
+    ["run", "--algo", "doubling", "--input", "arabic.inst"],
+    ["profile", "bounds", "plus.prof"],
+    ["si", "run", "--algo", "doubling", "--input", "plus.si"],
 ])
 def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for name, text in BAD_INPUT_FILES.items():
-        (tmp_path / name).write_text(text)
+    _write_files(tmp_path, BAD_INPUT_FILES)
     write_si_instance("fam64.si", realize_si_family(64, 1, seed=0))
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 1
@@ -707,12 +734,16 @@ def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
      "duel needs a profile of at least two clusters, got 1"),
     (["duel", "--algo", "oblivious", "--profile", "one.prof", "--rounds", "5"],
      "duel needs a profile of at least two clusters, got 1"),
+    (["run", "--algo", "block", "--input", "latin1.inst"],
+     "latin1.inst:1: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte"),
+    (["run", "--algo", "block", "--input", "underscore.inst"],
+     "underscore.inst:1: expected an integer, got '1_0'"),
 ])
 def test_cli_bad_option_is_named_with_what_it_takes(args, message, tmp_path,
                                                    monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for name in ("other.prof", "one.prof", "pair.inst", "a27.si"):
-        (tmp_path / name).write_text(BAD_INPUT_FILES[name])
+    _write_files(tmp_path, BAD_INPUT_FILES)
     write_si_instance("fam64.si", realize_si_family(64, 1, seed=0))
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 1

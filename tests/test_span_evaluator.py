@@ -11,13 +11,16 @@ indices; on a realized instance any other span is refused before its
 first merge.
 """
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import recording_oracle
 from edlab import algorithms
-from edlab.algorithms import block_sorting, clairvoyant, order_doubling
+from edlab.algorithms import (_block_spans, block_sorting, clairvoyant,
+                               doubling_spans, order_doubling)
 from edlab.core import CountingOracle, Instance, Outcome
 from edlab.profiles import ClusterProfile
 from edlab.setint import realize_si_family, si_clairvoyant, si_doubling
@@ -72,6 +75,101 @@ def test_sort_spans_matches_generator(case):
     values, spans, cross_at = case
     gen, fast = _both(values, spans, cross_at)
     assert fast == gen
+
+
+def _values(rng, n, kind):
+    """n values: all distinct, distinct but for one planted equal pair,
+    or drawn from n // 8 values (at least one), so ties are everywhere."""
+    if kind == "tied":
+        return [rng.randrange(max(1, n // 8)) for _ in range(n)]
+    values = rng.sample(range(4 * n), n)
+    if kind == "planted":
+        values[rng.randrange(n)] = values[rng.randrange(n)]
+    return values
+
+
+def _si_values(rng, na, nb, kind):
+    """A's na values, then B's nb: each side ties only within itself
+    ("tied" draws A from na // 8 values), and "planted" gives one B item
+    an A item's value, so a cross witness lies in the last spans."""
+    a = _values(rng, na, "tied" if kind == "tied" else "distinct")
+    b = [v + 4 * na for v in _values(rng, nb, "distinct")]
+    if kind == "planted":
+        b[rng.randrange(nb // 2, nb)] = a[rng.randrange(na)]
+    return a + b
+
+
+def _spans(spans):
+    # the runners' spans are one-shot iterators; each run needs its own
+    return [list(span) for span in spans]
+
+
+def _long_span_cases():
+    """(values, spans, cross_at) with spans of 256 or more indices,
+    whose subtrees form the contiguous ascending runs of 64 or more that
+    sort_spans reuses across spans, plus shuffled spans that it cannot
+    reuse.  Each span family meets all-distinct, planted and tied
+    values."""
+    rng = random.Random(20)
+    out = []
+    for kind in ("distinct", "planted", "tied"):
+        for n in (256, 300, 700):
+            out.append(pytest.param(_values(rng, n, kind),
+                                    _spans(doubling_spans(n)), None,
+                                    id=f"doubling-{n}-{kind}"))
+        for na, nb in ((256, 256), (300, 520), (512, 100), (300, 1),
+                       (1, 300)):
+            out.append(pytest.param(_si_values(rng, na, nb, kind),
+                                    _spans(doubling_spans(na, nb)), na,
+                                    id=f"si-doubling-{na}-{nb}-{kind}"))
+        values = _values(rng, 640, kind)
+        for k in (64, 100, 256):
+            out.append(pytest.param(values,
+                                    _spans(_block_spans(range(640), k)),
+                                    None, id=f"block-{k}-{kind}"))
+        for cross_at in (None, 0, 200, 640):
+            tag = f"{cross_at}-{kind}"
+            out += [
+                pytest.param(values, [range(40, 360)] * 3, cross_at,
+                             id=f"repeated-{tag}"),
+                pytest.param(values, [range(40 + j, 360 + j)
+                                      for j in range(4)],
+                             cross_at, id=f"shifted-{tag}"),
+                pytest.param(values, [rng.sample(range(640), m)
+                                      for m in (256, 300, 640)],
+                             cross_at, id=f"shuffled-{tag}")]
+    for i in (1, 3, 8):
+        si = realize_si_family(512, i, seed=i)
+        out.append(pytest.param(list(si.a_values + si.b_values),
+                                _spans(doubling_spans(si.na, si.nb)), si.na,
+                                id=f"si-family-512-{i}"))
+    return out
+
+
+@pytest.mark.parametrize("values, spans, cross_at", _long_span_cases())
+def test_sort_spans_matches_generator_on_long_spans(values, spans, cross_at):
+    gen, fast = _both(values, spans, cross_at)
+    assert fast == gen
+
+
+@pytest.mark.parametrize("cross_at", [None, 100])
+def test_sort_spans_refuses_an_ascending_span_by_its_ends(cross_at):
+    # a strictly ascending span is checked by its two ends; a bad one is
+    # refused with check_indices' message, and only the spans before it
+    # are charged
+    values = _values(random.Random(3), 300, "distinct")
+    for span, bad in ((range(301), 300), (range(-1, 299), -1)):
+        oracle = CountingOracle(Instance(tuple(values)))
+        with pytest.raises(ValueError,
+                           match=f"^index out of range: {bad} with n=300$"):
+            sort_spans(oracle, [span], Outcome.DISTINCT, cross_at)
+        assert oracle.count == 0
+        oracle = CountingOracle(Instance(tuple(values)))
+        with pytest.raises(ValueError, match="^index out of range"):
+            sort_spans(oracle, [range(256), span], Outcome.DISTINCT,
+                       cross_at)
+        (_, want, _), _ = _both(values, [range(256)], cross_at)
+        assert oracle.count == want
 
 
 def test_sort_spans_replays_generator_transcript_in_adversary_mode():
