@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import chain, groupby, repeat
 from typing import Callable, Optional
 
-from .algorithms import doubling_gen
 from .core import Answer, CountingOracle, Instance, Outcome
 from .profiles import ClusterProfile, derive_reduced
 from .setint import SIInstance, bipartite_profile_of, si_family, si_shape
@@ -372,32 +371,6 @@ def realize(state: AdversaryState, clusters) -> Instance:
     for r, cid in zip(ids, sorted(ids, key=anchors.__getitem__)):
         rank[cid] = r
     return Instance(tuple(map(rank.__getitem__, cids)))
-
-
-def order_game(n: int):
-    """Adversarial known-rank instance for the prefix-doubling opponent.
-
-    Plays floor(n*log2(n)/8) rounds, then realizes a permutation whose
-    single duplicate pair sits on the two highest-index untouched
-    elements.  The doubling schedule reaches those indices only inside
-    its final block, after re-sorting every shorter prefix, so
-    rediscovery on the realized input costs the whole cascade while
-    rank-aware selection stays linear.
-
-    Returns (instance, k, state) with the pair at sorted ranks k, k+1.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    state = play_game(doubling_gen, n, int(n * math.log2(n) / 8))
-    roots = [i for i in range(n) if state.positions[i] == ""]
-    if len(roots) < 2:
-        raise RuntimeError("no two untouched elements left to pair up")
-    pair = roots[-2:]
-    rest = [[i] for i in range(n) if i != pair[0] and i != pair[1]]
-    inst = realize(state, rest + [pair])
-    v = inst.values[pair[0]]
-    k = sum(1 for u in inst.values if u < v) + 1
-    return inst, k, state
 
 
 # --- set-intersection adversary --------------------------------------------

@@ -1,4 +1,5 @@
-"""Experiment layer: random profile families, sweeps, duels, CSV rows.
+"""Experiment layer: random profile families, certified games, sweeps,
+duels, CSV rows.
 
 Every command takes plain arguments and returns (header, rows,
 violations); the CLI renders rows as comma-separated CSV with a header
@@ -27,8 +28,8 @@ from .algorithms import (block_sorting, block_sorting_gen, clairvoyant,
                          doubling_gen, median_recursion,
                          median_recursion_gen, oblivious, oblivious_gen,
                          order_doubling, preprocess, run_preprocessed)
-from .adversary import (few_deep_index, pack_separation, play_game, realize,
-                        reconstruct)
+from .adversary import (AdversaryState, few_deep_index, pack_separation,
+                        play_game, realize, reconstruct)
 from .setint import read_si_instance, si_clairvoyant, si_doubling, si_shape
 
 RUN_ALGOS = ("block", "median", "clairvoyant", "oblivious", "preprocessed",
@@ -72,6 +73,20 @@ def _at_least(option: str, values, least: int,
         if v < least or most is not None and v > most:
             want = f"at least {least}" if most is None else f"in {least}..{most}"
             raise ValueError(f"{option} must be {want}, got {v}")
+
+
+# The largest size a verb accepts, checked where a size enters (a sweep's
+# --ns, check-bounds' --nmax, gen's n, a duel's profile) before anything
+# of that size is allocated: four times the largest game run, at 2^22.
+MAX_N = 2 ** 24
+
+
+def _check_sizes(option: str, values, least: int) -> None:
+    """``_at_least`` for sizes, which must also be at most MAX_N."""
+    _at_least(option, values, least)
+    for v in values:
+        if v > MAX_N:
+            raise ValueError(f"{option} must be at most {MAX_N}, got {v}")
 
 
 # --- random profile families ------------------------------------------------
@@ -225,11 +240,11 @@ def cmd_gen(out_dir: str, clique_n: Optional[int] = None,
             seed: int = 0):
     seed = effective_seed(seed)
     if clique_n is not None:
-        _at_least("--clique n", [clique_n], 1)
+        _check_sizes("--clique n", [clique_n], 1)
         prof = ClusterProfile([clique_n])
         name = str(clique_n)
     else:
-        _at_least("--profile-random n", [random_n], 1)
+        _check_sizes("--profile-random n", [random_n], 1)
         _at_least("--profile-random m", [random_m], 1, most=random_n)
         rng = random.Random(seed)
         prof = ClusterProfile(power_law_sizes(rng, random_m, random_n))
@@ -261,6 +276,52 @@ def cmd_run(algo: str, inst: Instance,
     return RUN_HEADER, [row], [err] if err else []
 
 
+# --- certified games -------------------------------------------------------
+#
+# A game bounds an algorithm only through the instance the adversary
+# realizes: its transcript must replay there, and its duplicate graph
+# must be the profile the game was played for.  Every element-
+# distinctness game is realized and checked here.
+
+def certify(state: AdversaryState, clusters, profile: ClusterProfile):
+    """Realize ``clusters`` from the game ``state``; returns (instance,
+    consistent).  ``consistent`` holds iff every answer of the
+    transcript replays on the instance and the instance realizes
+    ``profile``.  Clusters that are not chains in the tree, or that do
+    not cover every element once, raise realize's ValueError."""
+    inst = realize(state, clusters)
+    return inst, (replay_transcript(inst, state.transcript)
+                  and verify_graph(inst, profile))
+
+
+def order_game(n: int):
+    """Adversarial known-rank instance for the prefix-doubling opponent.
+
+    Plays floor(n*log2(n)/8) rounds, then realizes a permutation whose
+    single duplicate pair sits on the two highest-index untouched
+    elements.  The doubling schedule reaches those indices only inside
+    its final block, after re-sorting every shorter prefix, so
+    rediscovery on the realized input costs the whole cascade while
+    rank-aware selection stays linear.
+
+    Returns (instance, k, state) with the pair at sorted ranks k, k+1.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    state = play_game(doubling_gen, n, int(n * math.log2(n) / 8))
+    roots = [i for i in range(n) if state.positions[i] == ""]
+    if len(roots) < 2:
+        raise RuntimeError("no two untouched elements left to pair up")
+    pair = roots[-2:]
+    clusters = [[i] for i in range(n) if i not in pair] + [pair]
+    inst, ok = certify(state, clusters, ClusterProfile(map(len, clusters)))
+    if not ok:
+        raise RuntimeError("realized instance inconsistent with the game")
+    v = inst.values[pair[0]]
+    k = sum(1 for u in inst.values if u < v) + 1
+    return inst, k, state
+
+
 # --- duel -------------------------------------------------------------
 
 DUEL_HEADER = ["n", "rounds", "algo", "survived", "consistency",
@@ -290,6 +351,7 @@ def cmd_duel(algo: str, n: int, profile: ClusterProfile,
              rounds: Optional[int] = None):
     if profile.n != n:
         raise ValueError(f"profile covers {profile.n} elements, not {n}")
+    _check_sizes("--profile n", [n], 1)
     if profile.m < 2:
         raise ValueError("duel needs a profile of at least two clusters, "
                          f"got {profile.m}")
@@ -304,7 +366,7 @@ def cmd_duel(algo: str, n: int, profile: ClusterProfile,
     cv: object = ""
     try:
         clusters, _ = reconstruct(state, profile)
-        inst = realize(state, clusters)
+        inst, consistency = certify(state, clusters, profile)
     except (RuntimeError, ValueError) as exc:
         # reconstruction is only guaranteed up to the default budget; a
         # failure past it is data (consistency stays False), not a violation
@@ -312,8 +374,6 @@ def cmd_duel(algo: str, n: int, profile: ClusterProfile,
             violations.append(
                 f"reconstruction failed inside the guaranteed budget: {exc}")
     else:
-        consistency = (replay_transcript(inst, state.transcript)
-                       and verify_graph(inst, profile))
         rep = clairvoyant(CountingOracle(inst), profile)
         cv = rep.comparisons
         if not consistency:
@@ -344,7 +404,7 @@ COMPETITIVE_HEADER = ["n", "profile_id", "clairvoyant_cmp", "oblivious_cmp",
 
 
 def cmd_sweep_competitive(ns, reps: int, seed: int):
-    _at_least("--ns", ns, MIN_COMPETITIVE_N)
+    _check_sizes("--ns", ns, MIN_COMPETITIVE_N)
     _at_least("--reps", [reps], 1)
     seed = effective_seed(seed)
     rows, violations = [], []
@@ -393,11 +453,9 @@ def separation_row(n: int):
     C = prof.c(L)
     # exact integer form of C <= n / 2^(i-3)
     bound_ok = C * 2 ** max(0, i - 3) <= n * 2 ** max(0, 3 - i)
-    inst = realize(state, bigs + singles)
+    inst, consistent = certify(state, bigs + singles, prof)
     items = [e for c in bigs + singles for e in c]
     rep = median_recursion(CountingOracle(inst), items, L)
-    consistent = (replay_transcript(inst, state.transcript)
-                  and verify_graph(inst, prof))
     ratio = state.rounds_played / max(1, rep.comparisons)
     row = [n, state.rounds_played, i, L, bound_ok, rep.comparisons,
            f"{ratio:.4f}", consistent]
@@ -417,7 +475,7 @@ def separation_row(n: int):
 
 
 def cmd_sweep_separation(ns):
-    _at_least("--ns", ns, MIN_SEPARATION_N)
+    _check_sizes("--ns", ns, MIN_SEPARATION_N)
     results = [separation_row(n) for n in ns]
     rows = [r for r, _, _ in results]
     violations = [b for _, b, _ in results if b]
@@ -461,7 +519,7 @@ def bounds_row(pid: int, seed: int, nmax: int):
 
 def cmd_check_bounds(count: int, nmax: int, seed: int):
     _at_least("--count", [count], 1)
-    _at_least("--nmax", [nmax], MIN_BOUNDS_NMAX)
+    _check_sizes("--nmax", [nmax], MIN_BOUNDS_NMAX)
     seed = effective_seed(seed)
     results = [bounds_row(pid, seed, nmax) for pid in range(count)]
     rows = [r for r, _ in results]

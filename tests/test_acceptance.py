@@ -13,14 +13,15 @@ import time
 from bruteforce import (brute_lower_bound_block, brute_lower_bound_combined,
                         brute_lower_bound_median, brute_select_L1,
                         brute_select_L2)
-from edlab.adversary import (few_deep_index, order_game, pack_isomorphic,
-                             play_game, realize, si_adversary_game)
+from edlab.adversary import (few_deep_index, pack_isomorphic, play_game,
+                             realize, si_adversary_game)
 from edlab.algorithms import (block_sorting, clairvoyant, median_recursion,
                               oblivious, order_baseline, order_doubling)
 from edlab.core import (Answer, CountingOracle, Outcome, realize_instance,
                         replay_transcript, verify_graph)
-from edlab.harness import (duel_opponent, random_multicluster_profile,
-                           random_profile, separation_row)
+from edlab.harness import (duel_opponent, order_game,
+                           random_multicluster_profile, random_profile,
+                           separation_row)
 from edlab.profiles import (ClusterProfile, approx_L2_scan,
                             check_linear_subset, lower_bound_block,
                             lower_bound_combined, lower_bound_median,

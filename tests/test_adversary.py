@@ -6,12 +6,12 @@ import random
 import pytest
 
 from edlab.adversary import (AdversaryState, TreeAdversary, few_deep_index,
-                             order_game, pack_isomorphic, pack_separation,
-                             play_game, realize, reconstruct,
-                             si_adversary_game)
+                             pack_isomorphic, pack_separation, play_game,
+                             realize, reconstruct, si_adversary_game)
 from edlab.algorithms import doubling_gen, oblivious_gen, order_baseline
 from edlab.core import (Answer, CountingOracle, Outcome, replay_transcript,
                         verify_graph)
+from edlab.harness import order_game
 from edlab.profiles import ClusterProfile
 from edlab.setint import si_clairvoyant, si_family, verify_bipartite
 from edlab.sortsel import merge_sort_gen

@@ -27,7 +27,7 @@ import textwrap
 import pytest
 
 from bruteforce import recording_oracle
-from edlab.adversary import order_game
+from edlab.harness import order_game
 from edlab.algorithms import (block_sorting, budgeted_median_branch_gen,
                               clairvoyant, median_recursion,
                               median_recursion_gen, oblivious,

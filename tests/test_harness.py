@@ -582,6 +582,9 @@ BAD_INPUT_FILES = {
     "arabic.inst": "1\n\u0661\u0662\n",
     "plus.prof": "+3\n",
     "plus.si": "A:\n1\nB:\n+1\n",
+    "over.prof": "8388609\n8388608\n",
+    "max.prof": "16777216\n",
+    "huge.prof": "100000000000\n100000000000\n",
 }
 
 
@@ -612,6 +615,32 @@ BAD_FILE_AT = {"garbled.inst": "garbled.inst:2:",
                "plus.prof": "plus.prof:1:",
                "plus.si": "plus.si:4:"}
 
+
+# a size above MAX_N = 2^24, refused before anything of that size is
+# allocated; only refused sizes are tried, never a run that allocates
+CEILING = [
+    (["gen", "--clique", "n=16777217"],
+     "--clique n must be at most 16777216, got 16777217"),
+    (["gen", "--profile-random", "m=2", "n=100000000000"],
+     "--profile-random n must be at most 16777216, got 100000000000"),
+    (["sweep-competitive", "--ns", "64,16777217"],
+     "--ns must be at most 16777216, got 16777217"),
+    (["sweep-separation", "--ns", "100000000000"],
+     "--ns must be at most 16777216, got 100000000000"),
+    (["check-bounds", "--nmax", "16777217"],
+     "--nmax must be at most 16777216, got 16777217"),
+    (["check-bounds", "--count", "1", "--nmax", "100000000000"],
+     "--nmax must be at most 16777216, got 100000000000"),
+    (["duel", "--algo", "oblivious", "--profile", "over.prof"],
+     "--profile n must be at most 16777216, got 16777217"),
+    (["duel", "--algo", "block", "--profile", "huge.prof", "--rounds", "5"],
+     "--profile n must be at most 16777216, got 200000000000"),
+    # MAX_N itself passes the ceiling and meets the next check
+    (["duel", "--algo", "block", "--profile", "max.prof"],
+     "duel needs a profile of at least two clusters, got 1"),
+    (["gen", "--profile-random", "m=0", "n=16777216"],
+     "--profile-random m must be in 1..16777216, got 0"),
+]
 
 # a file the system refuses: its message names the path
 FILE_ERRORS = [
@@ -676,6 +705,7 @@ FILE_ERRORS = [
     ["run", "--algo", "doubling", "--input", "arabic.inst"],
     ["profile", "bounds", "plus.prof"],
     ["si", "run", "--algo", "doubling", "--input", "plus.si"],
+    *(args for args, _ in CEILING),
 ])
 def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -739,6 +769,7 @@ def test_cli_bad_input_is_one_error_line(args, tmp_path, monkeypatch):
      "invalid start byte"),
     (["run", "--algo", "block", "--input", "underscore.inst"],
      "underscore.inst:1: expected an integer, got '1_0'"),
+    *CEILING,
 ])
 def test_cli_bad_option_is_named_with_what_it_takes(args, message, tmp_path,
                                                    monkeypatch):

@@ -90,6 +90,40 @@ def test_no_module_imports_a_siblings_private_name():
     assert reached == [], f"private names imported across modules: {reached}"
 
 
+def test_adversary_imports_no_algorithm_and_no_experiment():
+    # the adversaries, packing and realization play any opponent they are
+    # handed; which algorithm a game is played against, and how its
+    # instance is certified, belong to the harness
+    tree = ast.parse((ROOT / "src" / "edlab" / "adversary.py")
+                     .read_text(encoding="utf-8"))
+    imported = []  # dotted names: ".algorithms.doubling_gen", "edlab.harness"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported += [f"{base}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    reached = [name for name in imported
+               if {"algorithms", "harness"} & set(name.split("."))]
+    assert reached == [], f"adversary.py imports {reached}"
+
+
+def callers(path, name):
+    """The top-level functions of ``path`` that call ``name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {top.name for top in tree.body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == name}
+
+
+def test_every_element_distinctness_game_is_realized_in_certify():
+    src = ROOT / "src" / "edlab"
+    assert callers(src / "harness.py", "realize") == {"certify"}
+    assert callers(src / "adversary.py", "realize") == {"si_adversary_game"}
+
+
 # The functions that read an oracle's values: the oracle itself, and the
 # evaluators that charge it the requests a generator would make on a
 # realized instance (core.py's module docstring names them).  Everything
