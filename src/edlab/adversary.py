@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .core import Answer, CountingOracle, Instance, Outcome
 from .profiles import ClusterProfile, derive_reduced
-from .setint import SIInstance, bipartite_profile_of, si_family, si_shape
+from .setint import SIInstance, si_family, si_shape, verify_bipartite
 from .sortsel import drive_bounded
 
 LT, EQ, GT = Answer.LT, Answer.EQ, Answer.GT
@@ -453,7 +453,7 @@ def si_adversary_game(opponent_factory: Callable[[int], object],
     values = realize(AdversaryState(pos, oracle.count, oracle.transcript),
                      clusters).values
     inst = SIInstance(values[:n], values[n:])
-    if not bipartite_profile_of(inst) == si_family(n, j):
+    if not verify_bipartite(inst, si_family(n, j)):
         raise RuntimeError("realized instance is not in the target family")
     return SIGameReport(inst, j, oracle.count, oracle.transcript,
                         finished, result if finished else None)

@@ -40,20 +40,22 @@ def _block_spans(items, k: int):
                  [items[q * k:]])
 
 
-def block_sorting_gen(items, k: int, stats: Optional[dict] = None):
+def block_sorting_gen(items, k: int):
     """Sort disjoint blocks of k lowest remaining indices, then the rest.
 
     While at least 2k items remain, the first k are merge sorted and
     discarded; any EQ is a witness.  The remainder (size < 2k) gets one
-    final sort, and a clean one gives up.  stats["iterations"] counts
-    started sort phases.
+    final sort, and a clean one gives up.
 
     A plain function that returns the `sort_spans_gen` generator over
     `_block_spans`; a k below 1 therefore raises here, when this is
     called, not at the first request.  The runner `block_sorting` sorts
-    the same spans through `sort_spans`.
+    the same spans through `sort_spans`; its report's stats["iterations"]
+    counts started sort phases, as does the `stats` dict handed to
+    `sort_spans_gen(_block_spans(items, k), Outcome.GAVE_UP, stats=...)`,
+    the generator returned here.
     """
-    return sort_spans_gen(_block_spans(items, k), Outcome.GAVE_UP, stats=stats)
+    return sort_spans_gen(_block_spans(items, k), Outcome.GAVE_UP)
 
 
 def _median_rec(items, L, C, st, memo, limit):
@@ -247,14 +249,6 @@ def oblivious_gen(n: int, branch_costs: Optional[dict] = None):
 
 # --- runners ----------------------------------------------------------------
 
-def _run(oracle: CountingOracle, gen, stats=None, branch_costs=None) -> RunReport:
-    start = oracle.count
-    outcome, witness = drive(gen, oracle)
-    return RunReport(outcome=outcome, witness=witness,
-                     comparisons=oracle.count - start,
-                     branch_costs=branch_costs or {}, stats=stats or {})
-
-
 def block_sorting(oracle: CountingOracle, items, k: int) -> RunReport:
     return sort_spans(oracle, _block_spans(items, k), Outcome.GAVE_UP,
                       stats={})
@@ -274,10 +268,11 @@ def median_recursion(oracle: CountingOracle, items, L: int) -> RunReport:
     stats = {}
     gen = median_recursion_gen(items, L, stats)  # refuses L < 1, zeroes stats
     vals = oracle._values
-    if vals is None:
-        return _run(oracle, gen, stats)
-    check_indices(len(vals), items)
     start = oracle.count
+    if vals is None:
+        outcome, witness = drive(gen, oracle)
+        return RunReport(outcome, witness, oracle.count - start, stats=stats)
+    check_indices(len(vals), items)
     outcome, witness = Outcome.GAVE_UP, None
     stack = [items]
     while stack:
@@ -312,7 +307,9 @@ def order_doubling(oracle: CountingOracle) -> RunReport:
 def oblivious(oracle: CountingOracle, n: Optional[int] = None) -> RunReport:
     n = oracle.n if n is None else n
     costs = {}
-    return _run(oracle, oblivious_gen(n, costs), branch_costs=costs)
+    start = oracle.count
+    outcome, witness = drive(oblivious_gen(n, costs), oracle)
+    return RunReport(outcome, witness, oracle.count - start, branch_costs=costs)
 
 
 def clairvoyant(oracle: CountingOracle, profile: ClusterProfile) -> RunReport:

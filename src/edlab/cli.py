@@ -213,6 +213,3 @@ def profile_bounds(path, out):
     header, rows, violations = harness.cmd_profile_bounds(read_profile(path))
     _finish(header, rows, violations, out)
 
-
-if __name__ == "__main__":
-    main()

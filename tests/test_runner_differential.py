@@ -20,12 +20,13 @@ from bruteforce import (brute_approx_L2_scan, brute_block_sorting_gen,
                         brute_median_recursion_gen, brute_select_L1,
                         brute_select_L2, brute_si_doubling_gen,
                         recorded_run as run)
-from edlab.algorithms import (block_sorting, block_sorting_gen, clairvoyant,
-                              doubling_gen, order_doubling, preprocess,
-                              run_preprocessed)
-from edlab.core import CountingOracle, Instance
+from edlab.algorithms import (_block_spans, block_sorting, block_sorting_gen,
+                              clairvoyant, doubling_gen, order_doubling,
+                              preprocess, run_preprocessed)
+from edlab.core import CountingOracle, Instance, Outcome
 from edlab.profiles import ClusterProfile
 from edlab.setint import si_doubling, si_doubling_gen
+from edlab.sortsel import sort_spans_gen
 
 
 @st.composite
@@ -68,9 +69,12 @@ def test_block_sorting_matches_reference(values, data):
                   data.draw(st.permutations(range(n))))]
     for k, items in cases:
         got_stats, ref_stats = {}, {}
-        got = run(block_sorting_gen(items, k, got_stats), values)
+        got = run(block_sorting_gen(items, k), values)
         ref = run(brute_block_sorting_gen(items, k, ref_stats), values)
         assert got == ref
+        # block_sorting_gen returns this generator; read its iterations
+        run(sort_spans_gen(_block_spans(items, k), Outcome.GAVE_UP,
+                           stats=got_stats), values)
         assert got_stats == ref_stats
 
 

@@ -186,19 +186,35 @@ def test_sort_spans_replays_generator_transcript_in_adversary_mode():
         assert (got.count, got_stats) == (ref.count, ref_stats)
 
 
+_VALUES = (4, 1, 3, 1, 0, 2, 4, 5)
+_PROFILE = ClusterProfile([2, 2, 1, 1, 1, 1])  # the clusters of _VALUES
+_SPANS = [[0, 1, 2], [7, 6, 5, 4, 3, 2, 1, 0]]
+_SI = realize_si_family(64, 2, seed=1)
+
+
 @pytest.mark.parametrize("make", [lambda v: CountingOracle(Instance(v)),
                                   recording_oracle],
                          ids=["instance", "adversary"])
-@pytest.mark.parametrize("cross_at", [None, 4])
-def test_span_report_counts_only_its_own_comparisons(make, cross_at):
+@pytest.mark.parametrize("values, runner", [
+    (_VALUES, lambda o: sort_spans(o, _SPANS, Outcome.DISTINCT)),
+    (_VALUES, lambda o: sort_spans(o, _SPANS, Outcome.DISTINCT, 4)),
+    (_VALUES, lambda o: algorithms.median_recursion(o, range(8), 2)),
+    (_VALUES, algorithms.oblivious),
+    (_VALUES, lambda o: clairvoyant(o, _PROFILE)),
+    (_VALUES, lambda o: algorithms.run_preprocessed(
+        algorithms.preprocess(_PROFILE), o)),
+    (_SI.combined().values,
+     lambda o: si_clairvoyant(o, _SI.na, _SI.nb, 2, _SI.na))],
+    # sort_spans's two cases are named by their witness cut
+    ids=["None", "4", "median", "oblivious", "clairvoyant", "preprocessed",
+         "si_clairvoyant"])
+def test_span_report_counts_only_its_own_comparisons(make, values, runner):
     # a select charges the oracle first; the report must not include it
-    values = (4, 1, 3, 1, 0, 2, 4, 5)
-    spans = [[0, 1, 2], [7, 6, 5, 4, 3, 2, 1, 0]]
     oracle = make(values)
     select(oracle, range(8), 3)
     start = oracle.count
     assert start > 0
-    rep = sort_spans(oracle, spans, Outcome.DISTINCT, cross_at)
+    rep = runner(oracle)
     assert rep.comparisons == oracle.count - start > 0
 
 
@@ -260,7 +276,7 @@ def test_span_runners_issue_no_request_in_instance_mode():
     n = len(inst)
     for runner, gen in (
             (lambda o: block_sorting(o, range(n), 3),
-             lambda: algorithms.block_sorting_gen(range(n), 3, {})),
+             lambda: algorithms.block_sorting_gen(range(n), 3)),
             (order_doubling,
              lambda: algorithms.doubling_gen(n))):
         oracle = CountingOracle(inst)
