@@ -61,7 +61,6 @@ class TreeAdversary:
     by the tree rule of _diverge on its positions."""
 
     def __init__(self, n: int):
-        self.n = n
         self.positions = [""] * n
 
     def answer(self, x: int, y: int) -> Answer:
@@ -267,7 +266,7 @@ def reconstruct(state: AdversaryState, profile: ClusterProfile):
     n = len(state.positions)
     if profile.n != n:
         raise ValueError("profile does not cover all elements")
-    reduced, _ = derive_reduced(profile)
+    reduced = derive_reduced(profile)
     sizes = profile.sizes
     order_desc = sorted(range(profile.m), key=sizes.__getitem__,
                         reverse=True)
@@ -388,17 +387,16 @@ class SIAdversary:
     """
 
     def __init__(self, n: int):
-        s, self.big = si_shape(n)
+        s, big = si_shape(n)
         self.n = n
-        self.s = s
         self.l = round(math.log2(n)) // 3
         self.rounds_budget = n * self.l // 2
-        self.depth_leaf = self.rounds_budget + self.l + 2
-        leaves = ["0" * self.depth_leaf]
-        self.a_cluster = [0] * self.big
+        depth_leaf = self.rounds_budget + self.l + 2
+        leaves = ["0" * depth_leaf]
+        self.a_cluster = [0] * big
         for j in range(1, s + 1):
             u = format(j - 1, f"0{self.l}b")
-            leaves.append(u + "1" + "0" * (self.depth_leaf - self.l - 1))
+            leaves.append(u + "1" + "0" * (depth_leaf - self.l - 1))
             self.a_cluster.extend([j] * j)
         assert len(self.a_cluster) == n
         self.positions = [leaves[c] for c in self.a_cluster] + [""] * n
@@ -417,7 +415,6 @@ class SIGameReport:
     rounds_played: int
     transcript: list
     opponent_finished: bool
-    opponent_result: Optional[tuple]
 
 
 def si_adversary_game(opponent_factory: Callable[[int], object],
@@ -434,8 +431,7 @@ def si_adversary_game(opponent_factory: Callable[[int], object],
     """
     adv = SIAdversary(n)
     oracle = CountingOracle(adversary=adv.answer, n=2 * n)
-    result, finished = drive_bounded(opponent_factory(n), oracle,
-                                     adv.rounds_budget)
+    _, finished = drive_bounded(opponent_factory(n), oracle, adv.rounds_budget)
     pos = adv.positions
     xb = min(range(n, 2 * n), key=lambda i: len(pos[i]))
     if len(pos[xb]) > adv.l:
@@ -455,5 +451,4 @@ def si_adversary_game(opponent_factory: Callable[[int], object],
     inst = SIInstance(values[:n], values[n:])
     if not verify_bipartite(inst, si_family(n, j)):
         raise RuntimeError("realized instance is not in the target family")
-    return SIGameReport(inst, j, oracle.count, oracle.transcript,
-                        finished, result if finished else None)
+    return SIGameReport(inst, j, oracle.count, oracle.transcript, finished)

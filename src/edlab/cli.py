@@ -11,6 +11,7 @@ any --seed flag.
 from __future__ import annotations
 
 import csv
+import functools
 import sys
 
 import click
@@ -25,16 +26,26 @@ def _exit_on(violations):
         sys.exit(1)
 
 
-def _finish(header, rows, violations, out):
-    fh = open(out, "w", encoding="utf-8", newline="") if out else sys.stdout
-    try:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-    finally:
-        if out:
-            fh.close()
-    _exit_on(violations)
+def _rows(verb):
+    """A CSV verb: adds the last option, --out, and writes the (header,
+    rows, violations) that ``verb`` returns as CSV with LF endings, to
+    stdout or to --out, then exits 1 on the first violation."""
+
+    @click.option("--out", type=click.Path(), default=None)
+    @functools.wraps(verb)
+    def write(out, **params):
+        header, rows, violations = verb(**params)
+        fh = open(out, "w", encoding="utf-8", newline="") if out else sys.stdout
+        try:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
+        finally:
+            if out:
+                fh.close()
+        _exit_on(violations)
+
+    return write
 
 
 def _kv(option, pairs, keys):
@@ -117,14 +128,12 @@ def gen(profile_random, clique, seed, out_dir):
 @click.option("--l", "--L", "l_param", type=int, default=None)
 @click.option("--profile", "profile_path", type=click.Path(exists=True),
               default=None)
-@click.option("--out", type=click.Path(), default=None)
-def run(algo, input_path, k, l_param, profile_path, out):
+@_rows
+def run(algo, input_path, k, l_param, profile_path):
     """Run one algorithm on one instance file; emit a RunReport row."""
     inst = read_instance(input_path)
     prof = read_profile(profile_path) if profile_path else None
-    header, rows, violations = harness.cmd_run(algo, inst, prof, k=k,
-                                               L=l_param)
-    _finish(header, rows, violations, out)
+    return harness.cmd_run(algo, inst, prof, k=k, L=l_param)
 
 
 @main.command()
@@ -133,12 +142,11 @@ def run(algo, input_path, k, l_param, profile_path, out):
               required=True)
 @click.option("--rounds", type=int, default=None,
               help="round budget; default keeps reconstruction guaranteed")
-@click.option("--out", type=click.Path(), default=None)
-def duel(algo, profile_path, rounds, out):
+@_rows
+def duel(algo, profile_path, rounds):
     """Play an algorithm against the adaptive adversary, then realize."""
     prof = read_profile(profile_path)
-    header, rows, violations = harness.cmd_duel(algo, prof.n, prof, rounds)
-    _finish(header, rows, violations, out)
+    return harness.cmd_duel(algo, prof.n, prof, rounds)
 
 
 @main.command("sweep-competitive")
@@ -146,32 +154,28 @@ def duel(algo, profile_path, rounds, out):
               help="comma-separated sizes")
 @click.option("--reps", type=int, default=10, show_default=True)
 @click.option("--seed", type=int, default=0)
-@click.option("--out", type=click.Path(), default=None)
-def sweep_competitive(ns, reps, seed, out):
+@_rows
+def sweep_competitive(ns, reps, seed):
     """Oblivious vs clairvoyant comparison counts over random profiles."""
-    header, rows, violations = harness.cmd_sweep_competitive(
-        _parse_ns(ns), reps, seed)
-    _finish(header, rows, violations, out)
+    return harness.cmd_sweep_competitive(_parse_ns(ns), reps, seed)
 
 
 @main.command("sweep-separation")
 @click.option("--ns", default="1024,4096,16384", show_default=True)
-@click.option("--out", type=click.Path(), default=None)
-def sweep_separation(ns, out):
+@_rows
+def sweep_separation(ns):
     """Adversary round budgets vs median recursion on realized instances."""
-    header, rows, violations = harness.cmd_sweep_separation(_parse_ns(ns))
-    _finish(header, rows, violations, out)
+    return harness.cmd_sweep_separation(_parse_ns(ns))
 
 
 @main.command("check-bounds")
 @click.option("--count", type=int, default=200, show_default=True)
 @click.option("--nmax", type=int, default=1024, show_default=True)
 @click.option("--seed", type=int, default=0)
-@click.option("--out", type=click.Path(), default=None)
-def check_bounds(count, nmax, seed, out):
+@_rows
+def check_bounds(count, nmax, seed):
     """Structural inequalities on random profiles."""
-    header, rows, violations = harness.cmd_check_bounds(count, nmax, seed)
-    _finish(header, rows, violations, out)
+    return harness.cmd_check_bounds(count, nmax, seed)
 
 
 @main.group()
@@ -184,11 +188,10 @@ def si():
 @click.option("--input", "input_path", type=click.Path(exists=True),
               required=True)
 @click.option("--i", "i_param", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-def si_run(algo, input_path, i_param, out):
+@_rows
+def si_run(algo, input_path, i_param):
     """Run a set-intersection algorithm on an A:/B: instance file."""
-    header, rows, violations = harness.cmd_si_run(algo, input_path, i_param)
-    _finish(header, rows, violations, out)
+    return harness.cmd_si_run(algo, input_path, i_param)
 
 
 @main.group()
@@ -198,18 +201,16 @@ def profile():
 
 @profile.command("stats")
 @click.argument("path", type=click.Path(exists=True))
-@click.option("--out", type=click.Path(), default=None)
-def profile_stats(path, out):
+@_rows
+def profile_stats(path):
     """Parameter selection summary for a profile file."""
-    header, rows, violations = harness.cmd_profile_stats(read_profile(path))
-    _finish(header, rows, violations, out)
+    return harness.cmd_profile_stats(read_profile(path))
 
 
 @profile.command("bounds")
 @click.argument("path", type=click.Path(exists=True))
-@click.option("--out", type=click.Path(), default=None)
-def profile_bounds(path, out):
+@_rows
+def profile_bounds(path):
     """Lower-bound budgets for a profile file."""
-    header, rows, violations = harness.cmd_profile_bounds(read_profile(path))
-    _finish(header, rows, violations, out)
+    return harness.cmd_profile_bounds(read_profile(path))
 

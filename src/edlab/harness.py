@@ -438,8 +438,9 @@ def separation_row(n: int):
     The oblivious schedule plays against the tree adversary for
     floor(n*log2(log2 n)/8) rounds; the final positions are packed into
     chains of length L = n/2^(2^(i-1)) for the few-deep index i, and the
-    packed clusters are realized in that order, so median recursion sees
-    the realized instance with each cluster's elements contiguous.
+    packed clusters are realized in that order, and median recursion
+    runs on range(n) over the realized instance re-indexed in that
+    order, so each cluster's elements are contiguous.
     """
     lln = math.log2(math.log2(n))
     budget = int(n * lln / 8)
@@ -454,8 +455,9 @@ def separation_row(n: int):
     # exact integer form of C <= n / 2^(i-3)
     bound_ok = C * 2 ** max(0, i - 3) <= n * 2 ** max(0, 3 - i)
     inst, consistent = certify(state, bigs + singles, prof)
-    items = [e for c in bigs + singles for e in c]
-    rep = median_recursion(CountingOracle(inst), items, L)
+    # re-indexed in pack order, so that median recursion runs on range(n)
+    inst = Instance(tuple(inst.values[e] for c in bigs + singles for e in c))
+    rep = median_recursion(CountingOracle(inst), range(n), L)
     ratio = state.rounds_played / max(1, rep.comparisons)
     row = [n, state.rounds_played, i, L, bound_ok, rep.comparisons,
            f"{ratio:.4f}", consistent]

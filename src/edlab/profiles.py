@@ -189,14 +189,13 @@ def approx_L2_scan(profile: ClusterProfile) -> tuple[int, float, int]:
     return L, val, counter[0]
 
 
-def derive_reduced(profile: ClusterProfile) -> tuple[ClusterProfile, int]:
+def derive_reduced(profile: ClusterProfile) -> ClusterProfile:
     """Delete maximum clusters until at most 3/4 of the vertices remain.
 
-    Returns (reduced profile, size of the smallest deleted cluster).
-    Deletions are by decreasing size so the last one deleted is the
-    smallest; the result is never empty because no single
-    cluster can hold more than half of the remaining vertices at the
-    time it becomes the only one left.
+    Returns the reduced profile: the clusters left after deleting the
+    largest ones, by decreasing size, until 4n' <= 3n.  It is never
+    empty because no single cluster can hold more than half of the
+    remaining vertices at the time it becomes the only one left.
     """
     if profile.m < 2:
         raise ValueError("reduction needs at least two clusters")
@@ -206,7 +205,7 @@ def derive_reduced(profile: ClusterProfile) -> tuple[ClusterProfile, int]:
     while 4 * n_cur > 3 * n:
         n_cur -= remaining[k]
         k += 1
-    return ClusterProfile(remaining[k:]), remaining[k - 1]
+    return ClusterProfile(remaining[k:])
 
 
 def lower_bound_median(profile: ClusterProfile) -> float:
@@ -237,7 +236,7 @@ def lower_bound_combined(profile: ClusterProfile) -> float:
 def reduction_budget(profile: ClusterProfile) -> float:
     """min(n'/8, (1/32)*min_{C'(L)<n'} (C'+D')*max(1,log2 D')) over the
     reduced profile G' of derive_reduced, with n' its vertex count."""
-    reduced, _ = derive_reduced(profile)
+    reduced = derive_reduced(profile)
     return min(reduced.n / 8.0,
                _bound2_min(reduced, 1, reduced.piece_starts())[1] / 32.0)
 

@@ -480,7 +480,6 @@ class BruteSIGameReport:
     rounds_played: int
     transcript: list
     opponent_finished: bool
-    opponent_result: Optional[tuple]
 
 
 def brute_si_adversary_game(opponent_factory: Callable[[int], object],
@@ -496,8 +495,7 @@ def brute_si_adversary_game(opponent_factory: Callable[[int], object],
     """
     adv = BruteSIAdversary(n)
     oracle = CountingOracle(adversary=adv.answer, n=2 * n)
-    result, finished = drive_bounded(opponent_factory(n), oracle,
-                                     adv.rounds_budget)
+    _, finished = drive_bounded(opponent_factory(n), oracle, adv.rounds_budget)
     cands = [(len(p), i) for i, p in enumerate(adv.bpos) if len(p) <= adv.l]
     if not cands:
         raise RuntimeError("every B-element is deep; depth budget violated")
@@ -523,8 +521,7 @@ def brute_si_adversary_game(opponent_factory: Callable[[int], object],
             brute_bipartite_profile_of(inst.a_values, inst.b_values),
             brute_si_family_pairs(n, j)):
         raise RuntimeError("realized instance is not in the target family")
-    return BruteSIGameReport(inst, j, oracle.count, oracle.transcript,
-                             finished, result if finished else None)
+    return BruteSIGameReport(inst, j, oracle.count, oracle.transcript, finished)
 
 
 def recording_oracle(values) -> CountingOracle:

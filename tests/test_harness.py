@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edlab import algorithms, harness
+from edlab import algorithms, harness, setint, sortsel
 from edlab.cli import main
 from edlab.core import Instance, Outcome, RunReport, read_instance
 from edlab.harness import (
@@ -253,6 +253,22 @@ def test_separation_row_checks_the_median_witness(monkeypatch):
     _, bad, _ = harness.separation_row(16)
     assert bad == ("median recursion on the realized instance at n=16: "
                    + UNEQUAL)
+
+
+def test_separation_row_hands_the_index_check_only_ranges(monkeypatch):
+    """Median recursion runs on range(n) over the instance re-indexed in
+    pack order, so the index check never builds a set of n indices."""
+    check, handed = sortsel.check_indices, []
+
+    def record(n, items):
+        handed.append(items)
+        check(n, items)
+
+    for module in (algorithms, setint, sortsel):
+        monkeypatch.setattr(module, "check_indices", record)
+    row, bad, _ = harness.separation_row(4096)
+    assert bad is None and row[5] > 0
+    assert handed and all(isinstance(items, range) for items in handed)
 
 
 def test_bounds_row_checks_the_block_witness(monkeypatch):
@@ -847,6 +863,58 @@ def test_cli_run_writes_file_and_lf_only(tmp_path):
     raw = out.read_bytes()
     assert b"\r" not in raw
     assert raw.decode().splitlines()[0].startswith("algo,")
+
+
+# --- CLI: --out on every CSV verb -------------------------------------------
+
+# each CSV verb on a small input, with the harness command it returns
+CSV_VERBS = [
+    (["run", "--algo", "doubling", "--input", "pairs.inst"], "cmd_run"),
+    (["duel", "--algo", "block", "--profile", "duel.prof", "--rounds", "5"],
+     "cmd_duel"),
+    (["sweep-competitive", "--ns", "64", "--reps", "2", "--seed", "0"],
+     "cmd_sweep_competitive"),
+    (["sweep-separation", "--ns", "64"], "cmd_sweep_separation"),
+    (["check-bounds", "--count", "6", "--nmax", "64", "--seed", "1"],
+     "cmd_check_bounds"),
+    (["si", "run", "--algo", "doubling", "--input", "fam.si"], "cmd_si_run"),
+    (["profile", "stats", "duel.prof"], "cmd_profile_stats"),
+    (["profile", "bounds", "duel.prof"], "cmd_profile_bounds"),
+]
+
+
+@pytest.mark.parametrize("rigged", [False, True], ids=["rows", "violation"])
+@pytest.mark.parametrize("args,command", CSV_VERBS,
+                         ids=[c[4:] for _, c in CSV_VERBS])
+def test_cli_out_file_holds_what_stdout_shows(args, command, rigged,
+                                              tmp_path, monkeypatch):
+    from edlab.core import write_instance
+    from edlab.profiles import write_profile
+    monkeypatch.chdir(tmp_path)
+    write_instance("pairs.inst", realize_instance(ClusterProfile([2] * 4),
+                                                  seed=0))
+    write_profile("duel.prof", DUEL_PROFILE)
+    write_si_instance("fam.si", realize_si_family(8, 1, seed=3))
+    if rigged:
+        monkeypatch.setattr(harness, command, lambda *a, **k: (
+            ["h", "v"], [[1, "a,b"]], ["rigged"]))
+    runner = CliRunner()
+    shown = runner.invoke(main, args)
+    written = runner.invoke(main, args + ["--out", "rows.csv"])
+    assert shown.exit_code == written.exit_code == (1 if rigged else 0)
+    assert written.stdout_bytes == b""
+    raw = (tmp_path / "rows.csv").read_bytes()
+    assert raw == shown.stdout_bytes and b"\r" not in raw
+    if rigged:
+        assert raw == b'h,v\n1,"a,b"\n'
+        assert written.stderr == shown.stderr == "violation: rigged\n"
+    else:
+        assert raw.count(b"\n") >= 2  # a header and at least one row
+    verb = args[:2] if args[0] in ("si", "profile") else args[:1]
+    options = [line.split()[0].rstrip(",") for line in
+               runner.invoke(main, verb + ["--help"]).output.splitlines()
+               if line.startswith("  --")]
+    assert options[-2:] == ["--out", "--help"]
 
 
 # --- CLI: duel --------------------------------------------------------------

@@ -169,12 +169,12 @@ def test_approx_L2_within_factor_three(p):
 
 
 def test_derive_reduced_examples():
-    r, deleted = derive_reduced(ClusterProfile([4, 2, 2]))
-    assert (sorted(r.sizes), r.n, deleted) == ([2, 2], 4, 4)
-    r, deleted = derive_reduced(ClusterProfile([5, 1, 1, 1]))
-    assert (sorted(r.sizes), r.n, deleted) == ([1, 1, 1], 3, 5)
-    r, deleted = derive_reduced(ClusterProfile([4, 4, 4, 4]))
-    assert (sorted(r.sizes), r.n, deleted) == ([4, 4, 4], 12, 4)
+    r = derive_reduced(ClusterProfile([4, 2, 2]))
+    assert (sorted(r.sizes), r.n) == ([2, 2], 4)
+    r = derive_reduced(ClusterProfile([5, 1, 1, 1]))
+    assert (sorted(r.sizes), r.n) == ([1, 1, 1], 3)
+    r = derive_reduced(ClusterProfile([4, 4, 4, 4]))
+    assert (sorted(r.sizes), r.n) == ([4, 4, 4], 12)
     with pytest.raises(ValueError):
         derive_reduced(ClusterProfile([7]))
 
@@ -183,9 +183,13 @@ def test_derive_reduced_examples():
 def test_derive_reduced_invariants(p):
     if p.m < 2:
         return
-    r, deleted = derive_reduced(p)
-    assert r.n == sum(r.sizes) <= 0.75 * p.n
-    assert deleted >= max(r.sizes)  # deletions go largest-first
+    r = derive_reduced(p)
+    # deletions go largest-first: the kept clusters are the r.m smallest
+    by_size = sorted(p.sizes)
+    assert sorted(r.sizes) == by_size[:r.m]
+    # and stop at the first deletion that leaves at most 3/4 of n
+    assert 4 * r.n <= 3 * p.n
+    assert 4 * (r.n + by_size[r.m]) > 3 * p.n
 
 
 @given(p=profiles)

@@ -21,7 +21,7 @@ def outcome(game, opponent, n):
     except (RuntimeError, ValueError) as exc:
         return type(exc).__name__, str(exc)
     return (rep.instance, rep.j, rep.rounds_played, rep.transcript,
-            rep.opponent_finished, rep.opponent_result)
+            rep.opponent_finished)
 
 
 def assert_same_game(opponent, n):
