@@ -22,7 +22,7 @@ from typing import Optional
 from .core import Answer, CountingOracle, Outcome, RunReport, ceil_log2
 from .profiles import ClusterProfile, approx_L2_scan, select_L1, select_L2
 from .sortsel import (EQ, LT, check_indices, drive, select, select_gen,
-                      select_values, sort_spans, sort_spans_gen)
+                      select_keys, sort_spans, sort_spans_gen)
 
 
 # --- kernels ---------------------------------------------------------------
@@ -258,12 +258,14 @@ def median_recursion(oracle: CountingOracle, items, L: int) -> RunReport:
     """The report of ``median_recursion_gen``.
 
     An adversary-mode oracle drives the generator.  On a realized
-    instance `_median_rec`'s loop runs on the values, with no request:
-    each call selects its pivot with ``select_values`` and partitions in
-    two passes that stand for its len(items) - 1 requests.  A partition
-    that meets an item other than the pivot with the pivot's value stops
-    at the first such item, charged the requests up to it.  Indices out
-    of range or repeated are refused before anything is charged.
+    instance `_median_rec`'s loop runs on the values, with no request.
+    Item p of ``items`` is keyed once, as vals[items[p]] * len(items) + p,
+    and every call works on a list of keys in ``items`` order: it selects
+    its pivot with ``select_keys`` and partitions in two key-range passes
+    that stand for its len(items) - 1 requests.  A partition that meets
+    an item other than the pivot with the pivot's value stops at the
+    first such item, charged the requests up to it.  Indices out of
+    range or repeated are refused before anything is charged.
     """
     stats = {}
     gen = median_recursion_gen(items, L, stats)  # refuses L < 1, zeroes stats
@@ -273,27 +275,30 @@ def median_recursion(oracle: CountingOracle, items, L: int) -> RunReport:
         outcome, witness = drive(gen, oracle)
         return RunReport(outcome, witness, oracle.count - start, stats=stats)
     check_indices(len(vals), items)
+    n0 = len(items)
     outcome, witness = Outcome.GAVE_UP, None
-    stack = [items]
+    stack = [[vals[x] * n0 + p for p, x in enumerate(items)]]
     while stack:
-        items = stack.pop()
-        if len(items) < L:
-            if items:
+        keys = stack.pop()
+        if len(keys) < L:
+            if keys:
                 stats["small_calls"] += 1
-                stats["small_mass"] += len(items)
+                stats["small_mass"] += len(keys)
             continue
-        med, cost = select_values(vals, items, (len(items) + 1) // 2)
-        pv = vals[med]
-        less = [it for it in items if vals[it] < pv]
-        greater = [it for it in items if vals[it] > pv]
-        if len(less) + len(greater) + 1 < len(items):
+        med, cost = select_keys(keys, (len(keys) + 1) // 2, n0)
+        lo = med - med % n0
+        hi = lo + n0
+        less = [x for x in keys if x < lo]
+        greater = [x for x in keys if x >= hi]
+        if len(less) + len(greater) + 1 < len(keys):
             # the first item that ties the pivot is the last one asked
-            hit = next(it for it in items if it != med and vals[it] == pv)
-            at = items.index(hit)
-            oracle.count += cost + at + (items.index(med) > at)
-            outcome, witness = Outcome.DUPLICATE, (hit, med)
+            hit = next(x for x in keys if lo <= x < hi and x != med)
+            at = keys.index(hit)
+            oracle.count += cost + at + (keys.index(med) > at)
+            outcome = Outcome.DUPLICATE
+            witness = (items[hit % n0], items[med % n0])
             break
-        oracle.count += cost + len(items) - 1
+        oracle.count += cost + len(keys) - 1
         stack.append(greater)
         stack.append(less)
     return RunReport(outcome=outcome, witness=witness,

@@ -455,12 +455,15 @@ def separation_row(n: int):
     # exact integer form of C <= n / 2^(i-3)
     bound_ok = C * 2 ** max(0, i - 3) <= n * 2 ** max(0, 3 - i)
     inst, consistent = certify(state, bigs + singles, prof)
-    # re-indexed in pack order, so that median recursion runs on range(n)
+    rounds = state.rounds_played
+    # re-indexed in pack order, so that median recursion runs on range(n);
+    # the game and its chains are freed before the recursion
     inst = Instance(tuple(inst.values[e] for c in bigs + singles for e in c))
+    del state, bigs, singles
     rep = median_recursion(CountingOracle(inst), range(n), L)
-    ratio = state.rounds_played / max(1, rep.comparisons)
-    row = [n, state.rounds_played, i, L, bound_ok, rep.comparisons,
-           f"{ratio:.4f}", consistent]
+    ratio = rounds / max(1, rep.comparisons)
+    row = [n, rounds, i, L, bound_ok, rep.comparisons, f"{ratio:.4f}",
+           consistent]
     err = check_report(inst, rep)
     bad = None
     if not survived:

@@ -21,9 +21,14 @@ runners only choose their spans and how a clean run ends.  On a realized
 instance the move's cost and first witness are functions of the values,
 so ``sort_spans`` computes them without a request; in adversary mode it
 drives ``sort_spans_gen``.  ``select`` does the same for ``select_gen``,
-through ``select_values``, which median recursion and SI clairvoyant
-also use for their pivots.  ``sort_spans`` is the runner of all three
-span sorts and returns the run's ``RunReport``.
+through ``select_values``, which SI clairvoyant also uses for its pivot.
+``select_values`` gives item p of its n0 items the distinct integer key
+value * n0 + p, whose order is ``select_gen``'s (ties go by position),
+and ``select_keys`` runs the selection on the keys, one level of
+quintets at a time, each ordered and charged by straight-line compares.
+Median recursion keys its items once and selects every pivot with
+``select_keys``.  ``sort_spans`` is the runner of all three span sorts
+and returns the run's ``RunReport``.
 
 Driver contract.  Every request is an ``(x, y)`` pair, and every
 request a generator sends an oracle passes through one loop,
@@ -462,41 +467,84 @@ def select_values(vals, items, k: int):
     ``vals`` answers every request, for ``items`` a sequence of distinct
     indices in 0..len(vals)-1 and 1 <= k <= len(items).
 
-    The same loop as ``select_gen``: each binary insertion lands where
-    its probes would put it and is charged their number, and each
-    partition keeps ``arr`` order in two passes that together stand for
-    its len(arr) - 1 requests.
+    Item p of ``items`` gets the key vals[items[p]] * len(items) + p, and
+    ``select_keys`` selects among the keys: ``select_gen`` places an item
+    after every item it ties, and each list it builds keeps ``items``
+    order, so its order is the keys' order.
     """
-    arr = items
+    n0 = len(items)
+    key, cost = select_keys([vals[x] * n0 + p for p, x in enumerate(items)],
+                            k, n0)
+    return items[key % n0], cost
+
+
+def select_keys(keys, k: int, n0: int):
+    """(key, requests) of ``select_gen`` run on ``keys`` with each
+    request answered by comparing key // n0: the k-th smallest key, and
+    what selecting it costs.  ``keys`` is a list of distinct integers
+    value * n0 + p with 0 <= p < n0, where p rises along the list, so
+    the keys' order is ``select_gen``'s: ties go by position.
+
+    The same loop as ``select_gen``, one level at a time.  Each complete
+    quintet a, b, c, d, e is ordered by straight-line compares: order
+    the pairs (a, b) and (c, d); f = max(a, c) and g = min(b, d) are the
+    middle two of a..d, and the median of five is the median of f, g and
+    e.  Binary insertion would charge the quintet 0 + 1 + (2 or 1) + 2 +
+    (3 or 2) requests, that is 8 - [c > max(a, b)] - [e > min(f, g)],
+    where min(f, g) is the second smallest of a..d.  A base case of at
+    most 5 keys is placed by binary insertion and charged ``_PROBES``.
+    Each partition keeps ``arr`` order in two key-range passes that
+    together stand for its len(arr) - 1 requests: the keys whose value
+    is below the pivot's are those below lo, the pivot's key rounded
+    down to a multiple of n0, and those above it are from lo + n0 on.
+    """
+    arr = keys
     cost = 0
     waiting = []
     while True:
-        n = len(arr)
-        base = n <= 5
-        picks = []
-        for g in range(0, n if base else n - n % 5, 5):
-            out, outv = [], []
-            for x in arr[g : g + 5]:
-                v = vals[x]
-                p = bisect_right(outv, v)
-                cost += _PROBES[len(outv)][p]
-                out.insert(p, x)
-                outv.insert(p, v)
-            picks.append(out[k - 1] if base else out[2])
-        if not base:
+        if len(arr) > 5:
+            picks = []
+            pick = picks.append
+            # five turns of one iterator: consecutive quintets, and the
+            # trailing partial group is left out
+            it = iter(arr)
+            for a, b, c, d, e in zip(it, it, it, it, it):
+                if a > b:
+                    a, b = b, a
+                cost += 8 - (c > b)
+                if c > d:
+                    c, d = d, c
+                # f and g, in order, take the places of a and b
+                if c > a:
+                    a = c
+                if d < b:
+                    b = d
+                if a > b:
+                    a, b = b, a
+                if e > a:
+                    cost -= 1
+                    pick(e if e < b else b)
+                else:
+                    pick(a)
             waiting.append((arr, k))
             arr, k = picks, (len(picks) + 1) // 2
             continue
-        found = picks[0]
-        pv = vals[found]
+        out = []
+        for x in arr:
+            p = bisect_right(out, x)
+            cost += _PROBES[len(out)][p]
+            out.insert(p, x)
+        found = out[k - 1]
+        lo = found - found % n0
+        hi = lo + n0
         while waiting:
             arr, k = waiting.pop()
             cost += len(arr) - 1
-            less = [it for it in arr if vals[it] < pv]
+            less = [x for x in arr if x < lo]
             if k <= len(less):
                 arr = less
                 break
-            greater = [it for it in arr if vals[it] > pv]
+            greater = [x for x in arr if x >= hi]
             if k > len(arr) - len(greater):
                 k -= len(arr) - len(greater)
                 arr = greater

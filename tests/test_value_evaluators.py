@@ -11,6 +11,9 @@ instance an index out of range or an index twice is refused before
 anything is charged.
 """
 
+from bisect import bisect_right
+from itertools import permutations, product
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,7 +26,7 @@ from edlab.algorithms import (PreprocessedPlan, block_sorting_gen,
 from edlab.core import CountingOracle, Instance
 from edlab.profiles import ClusterProfile
 from edlab.setint import realize_si_family, si_clairvoyant, si_clairvoyant_gen
-from edlab.sortsel import drive, select, select_gen
+from edlab.sortsel import _PROBES, drive, select, select_gen, select_keys
 
 
 @st.composite
@@ -64,6 +67,38 @@ def test_select_matches_generator_at_every_rank_of_small_n(n, tied):
         for k in range(1, len(items) + 1):
             gen, fast = _select_both(vals, items, k)
             assert fast == gen, (items, k)
+
+
+def weak_orders(n):
+    """Every weak order of n items, as dense ranks: each list of values
+    in 0..m-1 that uses all m of them, for m = 1..n."""
+    return [vals for vals in product(range(n), repeat=n)
+            if set(vals) == set(range(max(vals) + 1))]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_select_matches_generator_on_every_weak_order(n):
+    orders = weak_orders(n)
+    assert len(orders) == (1, 3, 13, 75, 541, 4683)[n - 1]
+    for vals in orders:
+        for items in (range(n), list(range(n))[::-1]):
+            for k in range(1, n + 1):
+                gen, fast = _select_both(vals, items, k)
+                assert fast == gen, (vals, items, k)
+
+
+def test_quintet_charge_is_the_insertion_cost():
+    for quintet in permutations(range(5)):
+        out, charge = [], 0
+        for x in quintet:
+            p = bisect_right(out, x)
+            charge += _PROBES[len(out)][p]
+            out.insert(p, x)
+        a, b, c, d, e = quintet
+        assert charge == 8 - (c > max(a, b)) - (e > sorted(quintet[:4])[1])
+        # one quintet level, a base case of its one pick (no request),
+        # then a partition of the six keys (five requests)
+        assert select_keys([*quintet, 5], 3, 1) == (out[2], charge + 5)
 
 
 @settings(max_examples=300, deadline=None)
