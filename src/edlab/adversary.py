@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from itertools import chain, groupby, repeat
 from typing import Callable, Optional
 
-from .core import Answer, CountingOracle, Instance, Outcome
+from .core import (Answer, CountingOracle, Instance, Outcome,
+                   replay_transcript)
 from .profiles import ClusterProfile, derive_reduced
-from .setint import SIInstance, si_family, si_shape, verify_bipartite
+from .setint import (SIInstance, si_a_clusters, si_family, si_shape,
+                     verify_bipartite)
 from .sortsel import drive_bounded
 
 LT, EQ, GT = Answer.LT, Answer.EQ, Answer.GT
@@ -377,28 +379,26 @@ def realize(state: AdversaryState, clusters) -> Instance:
 class SIAdversary:
     """B-elements walk down the tree; A-elements sit at fixed leaves.
 
-    Indices 0..n-1 are A, n..2n-1 are B, and `positions` holds the
-    A-leaves and then the B-paths.  The big A-cluster occupies the
-    leftmost leaf (smallest value); the type-1 cluster j sits at one
-    leaf below the j-th depth-l node.  Leaf depth exceeds the round
-    budget, so a B-element can never reach or pass an A-leaf, and the
-    tree rule of _diverge only ever moves B-elements.  Same-cluster A
-    pairs answer EQ (true equalities, not witnesses).
+    Indices 0..n-1 are A, laid out by `si_a_clusters` in `a_cluster`,
+    n..2n-1 are B, and `positions` holds the A-leaves and then the
+    B-paths.  The big A-cluster occupies the leftmost leaf (smallest
+    value); the type-1 cluster j sits at one leaf below the j-th
+    depth-l node.  Leaf depth exceeds the round budget, so a B-element
+    can never reach or pass an A-leaf, and the tree rule of _diverge
+    only ever moves B-elements.  Same-cluster A pairs answer EQ (true
+    equalities, not witnesses).
     """
 
     def __init__(self, n: int):
-        s, big = si_shape(n)
+        s, _ = si_shape(n)
         self.n = n
-        self.l = round(math.log2(n)) // 3
+        self.l = s.bit_length() - 1
         self.rounds_budget = n * self.l // 2
         depth_leaf = self.rounds_budget + self.l + 2
-        leaves = ["0" * depth_leaf]
-        self.a_cluster = [0] * big
-        for j in range(1, s + 1):
-            u = format(j - 1, f"0{self.l}b")
-            leaves.append(u + "1" + "0" * (depth_leaf - self.l - 1))
-            self.a_cluster.extend([j] * j)
-        assert len(self.a_cluster) == n
+        tail = "1" + "0" * (depth_leaf - self.l - 1)
+        leaves = ["0" * depth_leaf] + [format(j, f"0{self.l}b") + tail
+                                       for j in range(s)]
+        self.a_cluster = si_a_clusters(n)
         self.positions = [leaves[c] for c in self.a_cluster] + [""] * n
 
     def answer(self, x: int, y: int) -> Answer:
@@ -427,7 +427,7 @@ def si_adversary_game(opponent_factory: Callable[[int], object],
     against that cluster, otherwise x would have diverged away from its
     subtree.  Every other B-element steps to its '1' child and becomes a
     fresh singleton; realize then reads off an instance of
-    si_family(n, j).
+    si_family(n, j), on which the transcript must replay.
     """
     adv = SIAdversary(n)
     oracle = CountingOracle(adversary=adv.answer, n=2 * n)
@@ -446,9 +446,11 @@ def si_adversary_game(opponent_factory: Callable[[int], object],
         if i != xb:
             pos[i] += "1"
             clusters.append([i])
-    values = realize(AdversaryState(pos, oracle.count, oracle.transcript),
-                     clusters).values
-    inst = SIInstance(values[:n], values[n:])
+    realized = realize(AdversaryState(pos, oracle.count, oracle.transcript),
+                       clusters)
+    if not replay_transcript(realized, oracle.transcript):
+        raise RuntimeError("realized instance inconsistent with the game")
+    inst = SIInstance(realized.values[:n], realized.values[n:])
     if not verify_bipartite(inst, si_family(n, j)):
         raise RuntimeError("realized instance is not in the target family")
     return SIGameReport(inst, j, oracle.count, oracle.transcript, finished)

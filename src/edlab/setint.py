@@ -17,8 +17,8 @@ from itertools import chain, groupby
 from .algorithms import doubling_spans
 from .core import (CountingOracle, Instance, Outcome, RunReport,
                    parse_int_line, text_lines, write_lines)
-from .sortsel import (EQ, check_indices, drive, merge_sort_gen, select_gen,
-                      select_values, sort_spans, sort_spans_gen)
+from .sortsel import (EQ, check_indices, drive, merge_sort_gen, select,
+                      select_gen, sort_spans, sort_spans_gen)
 
 
 @dataclass(frozen=True)
@@ -136,23 +136,31 @@ def si_family(n: int, i: int) -> BipartiteProfile:
     return BipartiteProfile._of_shapes(shapes)
 
 
+def si_a_clusters(n: int) -> list:
+    """The cluster id of each A index of si_family(n, i), in canonical
+    order: the big cluster 0, then type-1 cluster j repeated j times for
+    j = 1..s.  The layout does not depend on i."""
+    s, big = si_shape(n)
+    return [0] * big + [j for j in range(1, s + 1) for _ in range(j)]
+
+
 def realize_si_family(n: int, i: int, seed: int = 0,
                       partner_last: bool = False) -> SIInstance:
     """Concrete values for si_family(n, i), big cluster smallest.
 
-    The big A-cluster takes rank 0 (canonical form expected by
-    si_clairvoyant); everything else gets shuffled ranks and positions.
+    A is laid out by ``si_a_clusters``.  The big A-cluster takes rank 0
+    (canonical form expected by si_clairvoyant); everything else gets
+    shuffled ranks and positions.
     partner_last pins B's intersecting element to B's final position.
     """
     rng = random.Random(seed)
     prof = si_family(n, i)
-    s, big = si_shape(n)
+    s, _ = si_shape(n)
     ranks = list(range(1, s + n))  # one per cluster beyond the big one
     rng.shuffle(ranks)
-    # type-1 cluster j takes ranks[j - 1]; the B-singletons take the rest
-    a_vals = [0] * big
-    for j in range(1, s + 1):
-        a_vals.extend([ranks[j - 1]] * j)
+    # the big cluster takes 0, type-1 cluster j takes ranks[j - 1] and
+    # the B-singletons take the rest
+    a_vals = list(map([0, *ranks[:s]].__getitem__, si_a_clusters(n)))
     b_vals = ranks[s:]
     rng.shuffle(a_vals)
     if partner_last:
@@ -241,10 +249,10 @@ def si_clairvoyant(oracle: CountingOracle, na: int, nb: int, i: int,
 
     An adversary-mode oracle drives the generator.  On a realized
     instance each step is evaluated from the values, with no request,
-    and charged the requests the generator would make: the select, the
-    strip (na - 1), the A-only sort through ``sort_spans``, the
-    adjacency scan (one fewer than the items sorted) and the B probe up
-    to its first equal.  Indices 0..na+nb-1 must all exist; that is
+    and charged the requests the generator would make: the select
+    through ``select``, the strip (na - 1), the A-only sort through
+    ``sort_spans``, the adjacency scan (one fewer than the items sorted)
+    and the B probe up to its first equal.  Indices 0..na+nb-1 must all exist; that is
     checked before anything is charged.
     """
     if n != na:
@@ -256,10 +264,9 @@ def si_clairvoyant(oracle: CountingOracle, na: int, nb: int, i: int,
         return RunReport(outcome, witness, oracle.count - start)
     _, big = si_shape(na)
     check_indices(len(vals), range(na + nb))
-    med, cost = select_values(vals, range(na), (na + 1) // 2)
-    pv = vals[med]
+    pv = vals[select(oracle, range(na), (na + 1) // 2)]
     rest = [a for a in range(na) if vals[a] != pv]
-    oracle.count += cost + na - 1
+    oracle.count += na - 1
     outcome, witness = Outcome.GAVE_UP, None
     if len(rest) == na - big:
         sort_spans(oracle, [rest], Outcome.DISTINCT, cross_at=na)

@@ -21,11 +21,11 @@ runners only choose their spans and how a clean run ends.  On a realized
 instance the move's cost and first witness are functions of the values,
 so ``sort_spans`` computes them without a request; in adversary mode it
 drives ``sort_spans_gen``.  ``select`` does the same for ``select_gen``,
-through ``select_values``, which SI clairvoyant also uses for its pivot.
-``select_values`` gives item p of its n0 items the distinct integer key
-value * n0 + p, whose order is ``select_gen``'s (ties go by position),
-and ``select_keys`` runs the selection on the keys, one level of
-quintets at a time, each ordered and charged by straight-line compares.
+and SI clairvoyant selects its pivot through it.  ``select`` gives item
+p of its n0 items the distinct integer key value * n0 + p, whose order
+is ``select_gen``'s (ties go by position), and ``select_keys`` runs the
+selection on the keys, one level of quintets at a time, each ordered
+and charged by straight-line compares.
 Median recursion keys its items once and selects every pivot with
 ``select_keys``.  ``sort_spans`` is the runner of all three span sorts
 and returns the run's ``RunReport``.
@@ -462,22 +462,6 @@ def select_gen(items, k: int):
 _PROBES = ((0,), (1, 1), (2, 2, 1), (2, 2, 2, 2), (3, 3, 2, 2, 2))
 
 
-def select_values(vals, items, k: int):
-    """(index, requests) of ``drive(select_gen(items, k), oracle)`` when
-    ``vals`` answers every request, for ``items`` a sequence of distinct
-    indices in 0..len(vals)-1 and 1 <= k <= len(items).
-
-    Item p of ``items`` gets the key vals[items[p]] * len(items) + p, and
-    ``select_keys`` selects among the keys: ``select_gen`` places an item
-    after every item it ties, and each list it builds keeps ``items``
-    order, so its order is the keys' order.
-    """
-    n0 = len(items)
-    key, cost = select_keys([vals[x] * n0 + p for p, x in enumerate(items)],
-                            k, n0)
-    return items[key % n0], cost
-
-
 def select_keys(keys, k: int, n0: int):
     """(key, requests) of ``select_gen`` run on ``keys`` with each
     request answered by comparing key // n0: the k-th smallest key, and
@@ -559,10 +543,12 @@ def select(oracle: CountingOracle, items, k: int):
     in 0..n-1.
 
     An adversary-mode oracle drives that generator.  On a realized
-    instance the selection is evaluated from the values by
-    ``select_values``, with no request.  There a rank out of range is
-    refused first, then an index out of range or an index twice, before
-    anything is charged.
+    instance the selection is evaluated from the values, with no
+    request: item p of the n0 items gets the key vals[items[p]] * n0 + p,
+    and ``select_keys`` selects among the keys (each list ``select_gen``
+    builds keeps ``items`` order, so ties go by position there too).
+    There a rank out of range is refused first, then an index out of
+    range or an index twice, before anything is charged.
     """
     vals = oracle._values
     if vals is None:
@@ -570,6 +556,8 @@ def select(oracle: CountingOracle, items, k: int):
     if not 1 <= k <= len(items):
         raise ValueError(f"rank {k} out of range for {len(items)} items")
     check_indices(len(vals), items)
-    found, cost = select_values(vals, items, k)
+    n0 = len(items)
+    key, cost = select_keys([vals[x] * n0 + p for p, x in enumerate(items)],
+                            k, n0)
     oracle.count += cost
-    return found
+    return items[key % n0]

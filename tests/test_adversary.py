@@ -5,15 +5,17 @@ import random
 
 import pytest
 
-from edlab.adversary import (AdversaryState, TreeAdversary, few_deep_index,
-                             pack_isomorphic, pack_separation, play_game,
-                             realize, reconstruct, si_adversary_game)
+from edlab import adversary
+from edlab.adversary import (AdversaryState, SIAdversary, TreeAdversary,
+                             few_deep_index, pack_isomorphic, pack_separation,
+                             play_game, realize, reconstruct,
+                             si_adversary_game)
 from edlab.algorithms import doubling_gen, oblivious_gen, order_baseline
 from edlab.core import (Answer, CountingOracle, Outcome, replay_transcript,
                         verify_graph)
 from edlab.harness import order_game
 from edlab.profiles import ClusterProfile
-from edlab.setint import si_clairvoyant, si_family, verify_bipartite
+from edlab.setint import si_clairvoyant, si_family, si_shape, verify_bipartite
 from edlab.sortsel import merge_sort_gen
 
 
@@ -279,3 +281,30 @@ def test_si_game_realization_is_solvable():
     run = si_clairvoyant(rep.instance.oracle(), n, n, rep.j, n)
     assert run.outcome is Outcome.DUPLICATE
     assert run.comparisons <= 6.0 * n
+
+
+def test_si_game_raises_when_its_transcript_does_not_replay(monkeypatch):
+    seen = []
+
+    def refuse(instance, transcript):
+        seen.append((instance, transcript))
+        return False
+    monkeypatch.setattr(adversary, "replay_transcript", refuse)
+    with pytest.raises(RuntimeError,
+                       match="realized instance inconsistent with the game"):
+        si_adversary_game(si_doubling_opponent, 64)
+    # it was asked about the realized instance and the whole transcript
+    [(instance, transcript)] = seen
+    assert len(instance.values) == 128 and len(transcript) == 64
+    assert replay_transcript(instance, transcript)
+
+
+def test_si_adversary_depth_is_the_float_log():
+    # arithmetic only above 4096: the adversary's s + 1 leaves are
+    # n * l / 2 characters each
+    for t in range(1, 11):
+        n = 2 ** (3 * t)
+        s, _ = si_shape(n)
+        assert s.bit_length() - 1 == round(math.log2(n)) // 3
+    for n in (8, 64, 512, 4096):
+        assert SIAdversary(n).l == round(math.log2(n)) // 3

@@ -124,6 +124,14 @@ def test_every_element_distinctness_game_is_realized_in_certify():
     assert callers(src / "adversary.py", "realize") == {"si_adversary_game"}
 
 
+def test_instance_mode_selection_has_one_entry():
+    # median recursion keys its items once for all its pivots; every
+    # other selection on a realized instance goes through select
+    called = {path.name: callers(path, "select_keys") for path in PACKAGE}
+    assert {name: tops for name, tops in called.items() if tops} == {
+        "sortsel.py": {"select"}, "algorithms.py": {"median_recursion"}}
+
+
 # The functions that read an oracle's values: the oracle itself, and the
 # evaluators that charge it the requests a generator would make on a
 # realized instance (core.py's module docstring names them).  Everything

@@ -1,6 +1,7 @@
 """Bipartite intersection: family construction, doubling, clairvoyant runs."""
 
 import random
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,9 @@ from bruteforce import (brute_bipartite_equal, brute_bipartite_pairs,
                         brute_bipartite_profile_of, brute_si_family_pairs)
 from edlab.core import Outcome
 from edlab.setint import (BipartiteProfile, SIInstance, bipartite_profile_of,
-                          read_si_instance, realize_si_family, si_clairvoyant,
-                          si_doubling, si_family, verify_bipartite,
-                          write_si_instance)
+                          read_si_instance, realize_si_family, si_a_clusters,
+                          si_clairvoyant, si_doubling, si_family,
+                          verify_bipartite, write_si_instance)
 
 
 def test_bipartite_profile_of_small():
@@ -147,6 +148,17 @@ def test_family_matches_reference_pairs():
             brute_si_family_pairs(n, s))
         assert not brute_bipartite_equal(si_family(n, 1).clusters,
                                          brute_si_family_pairs(n, s))
+
+
+def test_a_side_layout_runs_are_the_family_a_clusters():
+    # the big cluster 0 first, then type-1 cluster j as a run of j ids j
+    for n in (8, 64, 512, 4096):
+        pairs = brute_si_family_pairs(n, 1)
+        sizes = [pairs[-1][0]] + [a for a, _ in pairs[:-1] if a > 0]
+        layout = si_a_clusters(n)
+        assert len(layout) == n
+        assert [(c, len(list(run))) for c, run in groupby(layout)] == list(
+            enumerate(sizes))
 
 
 def test_realize_family_matches_profile():
